@@ -6,30 +6,13 @@
 // it, while very large windows start to expire riders whose pickup
 // deadlines pass in the queue. Results append to BENCH_engine.json (one
 // JSON object per line) for machine consumption.
-#include <cstring>
-
 #include "bench_util.h"
 #include "common/table.h"
 #include "engine/engine.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace urr;
   using namespace urr::bench;
-  // --st-index runs every sweep with the spatio-temporal candidate index
-  // (also URR_ST_INDEX=1); the retrieval comparison section below always
-  // measures both paths head to head.
-  bool use_st_index = GetEnvInt("URR_ST_INDEX", 0) != 0;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--st-index") == 0) {
-      use_st_index = true;
-    } else if (std::strcmp(argv[a], "--help") == 0) {
-      std::printf("usage: bench_engine [--st-index]\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", argv[a]);
-      return 1;
-    }
-  }
   ExperimentConfig cfg = DefaultConfig(CityKind::kNycLike);
   Banner("Streaming engine - window size x arrival rate", cfg);
 
@@ -89,7 +72,6 @@ int main(int argc, char** argv) {
       ecfg.window = w;
       ecfg.solver = WindowSolver::kEfficientGreedy;
       ecfg.seed = cfg.seed;
-      ecfg.use_st_index = use_st_index;
       DispatchEngine engine(&workload, &ctx, ecfg);
       const Status st = engine.Run();
       if (!st.ok()) {
@@ -116,7 +98,7 @@ int main(int argc, char** argv) {
           "\"rejected\":%d,\"booked_utility\":%.17g,\"driven_cost\":%.17g,"
           "\"num_windows\":%d,\"pickup_wait_p95\":%.17g,"
           "\"solve_latency_p95\":%.17g,"
-          "\"st_index\":%d,\"retrieval_seconds\":%.17g,"
+          "\"retrieval_seconds\":%.17g,"
           "\"retrieval_latency_p95\":%.17g,\"retrieval_mean_candidates\":%.17g,"
           "\"breakdown_fraction\":0,\"no_show_fraction\":0,\"edge_faults\":0,"
           "\"breakdowns\":0,\"no_shows\":0,\"disruptions\":0,"
@@ -126,7 +108,7 @@ int main(int argc, char** argv) {
           m.total_accepted, m.total_expired, m.total_rejected,
           m.booked_utility, m.driven_cost, static_cast<int>(m.windows.size()),
           Percentile(m.pickup_waits, 95), Percentile(m.solve_latencies, 95),
-          m.st_index_active ? 1 : 0, m.retrieval_seconds,
+          m.retrieval_seconds,
           Percentile(m.retrieval_latencies, 95), m.retrieval_mean_candidates,
           static_cast<unsigned long long>(cfg.seed));
     }
@@ -157,7 +139,6 @@ int main(int argc, char** argv) {
       ecfg.window = fault_window;
       ecfg.solver = WindowSolver::kEfficientGreedy;
       ecfg.seed = cfg.seed;
-      ecfg.use_st_index = use_st_index;
       DispatchEngine engine(&workload, &ctx, ecfg);
       const Status st = engine.Run();
       if (!st.ok()) {
@@ -200,75 +181,11 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(cfg.seed));
     }
   }
-  // Retrieval comparison: reverse-Dijkstra prefilter vs ST-index at the
-  // high-arrival-rate end, where the per-window rider batch (and thus the
-  // per-rider Dijkstra bill) is largest. Same workload and solver per
-  // window; the booked utility is identical by construction (the toggle is
-  // differential-tested), so only the latency columns move.
-  TablePrinter retrieval_table({"window (s)", "retrieval", "solve p95 (s)",
-                                "retrieval total (s)", "retrieval p95 (s)",
-                                "mean cands", "prune ratio"});
-  {
-    const double rate = rates[1];
-    Rng wrng(cfg.seed + static_cast<uint64_t>(rate * 1000));
-    StreamingWorkloadOptions wopt;
-    wopt.arrival_rate = rate;
-    const StreamingWorkload workload =
-        MakeStreamingWorkload((*world)->instance, wopt, &wrng);
-    UtilityModel model(&workload.instance, UtilityParams{cfg.alpha, cfg.beta});
-    for (const double w : {10.0, 30.0}) {
-      for (const bool st_on : {false, true}) {
-        SolverContext ctx = (*world)->Context();
-        ctx.model = &model;
-        EngineConfig ecfg;
-        ecfg.window = w;
-        ecfg.solver = WindowSolver::kEfficientGreedy;
-        ecfg.seed = cfg.seed;
-        ecfg.use_st_index = st_on;
-        DispatchEngine engine(&workload, &ctx, ecfg);
-        const Status st = engine.Run();
-        if (!st.ok()) {
-          std::fprintf(stderr, "retrieval sweep window %g st=%d failed: %s\n",
-                       w, st_on ? 1 : 0, st.ToString().c_str());
-          rc = 1;
-          continue;
-        }
-        const EngineMetrics& m = engine.metrics();
-        retrieval_table.AddRow(
-            {TablePrinter::Num(w, 0), m.st_index_active ? "st-index" : "dijkstra",
-             TablePrinter::Num(Percentile(m.solve_latencies, 95), 5),
-             TablePrinter::Num(m.retrieval_seconds, 5),
-             TablePrinter::Num(Percentile(m.retrieval_latencies, 95), 6),
-             TablePrinter::Num(m.retrieval_mean_candidates, 1),
-             TablePrinter::Num(m.retrieval_screen_prune_ratio, 3)});
-        std::fprintf(
-            out,
-            "{\"bench\":\"retrieval\",\"solver\":\"%s\",\"arrival_rate\":"
-            "%.17g,\"window\":%.17g,\"st_index\":%d,\"vehicles\":%d,"
-            "\"riders\":%lld,\"booked_utility\":%.17g,"
-            "\"solve_latency_p95\":%.17g,\"retrieval_seconds\":%.17g,"
-            "\"retrieval_latency_p95\":%.17g,\"mean_candidates\":%.17g,"
-            "\"p99_candidates\":%.17g,\"screen_prune_ratio\":%.17g,"
-            "\"dijkstra_retrievals\":%lld,\"seed\":%llu}\n",
-            WindowSolverName(ecfg.solver), rate, w, m.st_index_active ? 1 : 0,
-            cfg.num_vehicles, static_cast<long long>(m.retrieval_riders),
-            m.booked_utility, Percentile(m.solve_latencies, 95),
-            m.retrieval_seconds, Percentile(m.retrieval_latencies, 95),
-            m.retrieval_mean_candidates, m.retrieval_p99_candidates,
-            m.retrieval_screen_prune_ratio,
-            static_cast<long long>(m.retrieval_dijkstra),
-            static_cast<unsigned long long>(cfg.seed));
-      }
-    }
-  }
   std::fclose(out);
   table.Print();
   std::printf("\nfault sweep (window %g s, arrival rate 0.5/s):\n",
               fault_window);
   fault_table.Print();
-  std::printf("\ncandidate retrieval at arrival rate %g/s (n=%d vehicles):\n",
-              rates[1], cfg.num_vehicles);
-  retrieval_table.Print();
   std::printf("\nper-run JSON appended to %s\n", out_path.c_str());
   return rc;
 }

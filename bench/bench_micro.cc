@@ -1,12 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the primitives the URR solvers
-// lean on: point-to-point shortest paths (plain / bidirectional / CH),
+// lean on: point-to-point shortest paths (plain / ALT / CH),
 // bounded reverse exploration, Algorithm-1 insertion, utility evaluation and
 // Jaccard similarity.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <map>
-
 #include <cstdio>
 
 #include "common/env.h"
@@ -15,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "routing/alt.h"
-#include "routing/bidirectional.h"
 #include "routing/distance_oracle.h"
 #include "routing/hub_labels.h"
 #include "routing/index_snapshot.h"
@@ -23,7 +20,6 @@
 #include "sched/kinetic_tree.h"
 #include "cover/kspc.h"
 #include "social/generators.h"
-#include "spatial/st_index.h"
 #include "urr/solution.h"
 #include "urr/utility.h"
 
@@ -73,15 +69,6 @@ void BM_DijkstraPointToPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraPointToPoint);
-
-void BM_BidirectionalPointToPoint(benchmark::State& state) {
-  MicroWorld& w = World();
-  BidirectionalDijkstra engine(w.network);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Distance(w.RandomNode(), w.RandomNode()));
-  }
-}
-BENCHMARK(BM_BidirectionalPointToPoint);
 
 void BM_AltQuery(benchmark::State& state) {
   MicroWorld& w = World();
@@ -329,99 +316,45 @@ BENCHMARK(BM_OracleComparison)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-/// Fixture for the candidate-retrieval head-to-head: a fleet of `n` idle
-/// vehicles scattered over the grid city, 64 pending riders, and both
-/// retrieval stacks (VehicleIndex reverse Dijkstra / StIndex + CH confirm)
-/// answering the identical Lemma-3.1 prefilter queries.
-struct RetrievalWorld {
-  std::unique_ptr<ChOracle> oracle;
-  std::unique_ptr<CachingOracle> caching;
-  UrrInstance instance;
-  std::unique_ptr<VehicleIndex> vindex;
-  std::unique_ptr<StIndex> st;
-  UrrSolution sol;
-  std::vector<RiderId> riders;
-  double max_speed = 0;
-
-  explicit RetrievalWorld(int fleet) {
-    MicroWorld& w = World();
-    oracle = *ChOracle::Create(w.network);
-    // Same stack the solvers run on (caching over CH): the confirm pairs
-    // are the (location, source) distances the evaluation phase reuses.
-    caching = std::make_unique<CachingOracle>(oracle.get());
-    instance.network = &w.network;
-    instance.social = &w.social;
-    Rng rng(4242);  // fixed stream: same fleet/riders for both paths
-    auto random_node = [&] {
-      return static_cast<NodeId>(rng.UniformInt(0, w.network.num_nodes() - 1));
-    };
-    for (int i = 0; i < 64; ++i) {
-      Rider r;
-      r.source = random_node();
-      r.destination = random_node();
-      // Table-3 deadline regime (rt⁻ in [10, 30] min): the reverse Dijkstra
-      // must settle the whole reachability disc per rider, the ST path only
-      // the occupied nodes inside it.
-      r.pickup_deadline = rng.Uniform(600, 1800);
-      r.dropoff_deadline = 1e8;
-      instance.riders.push_back(r);
-      riders.push_back(i);
-    }
-    std::vector<NodeId> locations;
-    for (int j = 0; j < fleet; ++j) {
-      locations.push_back(random_node());
-      instance.vehicles.push_back({locations.back(), 3});
-    }
-    vindex = std::make_unique<VehicleIndex>(w.network, locations);
-    st = std::make_unique<StIndex>(*StIndex::Build(w.network));
-    sol = MakeEmptySolution(instance, caching.get());
-    max_speed = w.network.MaxSpeed();
-  }
-
-  SolverContext Context(bool st_path) {
-    SolverContext ctx;
-    ctx.oracle = caching.get();
-    ctx.vehicle_index = vindex.get();
-    ctx.euclid_speed = max_speed;
-    if (st_path) {
-      ctx.st_index = st.get();
-      ctx.st_confirm_oracle = caching.get();
-    }
-    return ctx;
-  }
-};
-
-RetrievalWorld& RetrievalWorldFor(int fleet) {
-  static std::map<int, std::unique_ptr<RetrievalWorld>> worlds;
-  auto& slot = worlds[fleet];
-  if (slot == nullptr) slot = std::make_unique<RetrievalWorld>(fleet);
-  return *slot;
-}
-
-/// One window's candidate retrieval (64 riders) against a fleet of range(0)
-/// vehicles; range(1) picks the path (0 = bounded reverse Dijkstra, 1 =
-/// ST-index screen + batched CH confirm). Both compute the identical
-/// candidate lists — only the wall clock moves.
+/// One window's candidate retrieval: 64 pending riders against a fleet of
+/// range(0) idle vehicles scattered over the grid city, Table-3 deadlines
+/// (rt⁻ in [10, 30] min), so each bounded reverse Dijkstra settles the
+/// rider's whole reachability disc.
 void BM_CandidateRetrieval(benchmark::State& state) {
-  RetrievalWorld& rw = RetrievalWorldFor(static_cast<int>(state.range(0)));
-  const bool st_path = state.range(1) != 0;
-  SolverContext ctx = rw.Context(st_path);
-  // Warm-up outside the timed loop: the first ST call pays the full-fleet
-  // Sync; later syncs are no-ops on this static fleet.
-  benchmark::DoNotOptimize(
-      CandidateVehiclesForRiders(rw.instance, &ctx, rw.sol, rw.riders,
-                                 nullptr));
+  MicroWorld& w = World();
+  const int fleet = static_cast<int>(state.range(0));
+  UrrInstance instance;
+  instance.network = &w.network;
+  Rng rng(4242);  // fixed stream: the same riders at every fleet size
+  std::vector<RiderId> riders;
+  for (int i = 0; i < 64; ++i) {
+    Rider r;
+    r.source = w.RandomNodeFrom(&rng);
+    r.destination = w.RandomNodeFrom(&rng);
+    r.pickup_deadline = rng.Uniform(600, 1800);
+    r.dropoff_deadline = 1e8;
+    instance.riders.push_back(r);
+    riders.push_back(i);
+  }
+  std::vector<NodeId> locations;
+  for (int j = 0; j < fleet; ++j) {
+    locations.push_back(w.RandomNodeFrom(&rng));
+    instance.vehicles.push_back({locations.back(), 3});
+  }
+  VehicleIndex vindex(w.network, locations);
+  SolverContext ctx;
+  ctx.vehicle_index = &vindex;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        CandidateVehiclesForRiders(rw.instance, &ctx, rw.sol, rw.riders,
-                                   nullptr));
+        CandidateVehiclesForRiders(instance, &ctx, riders, nullptr));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rw.riders.size()));
+                          static_cast<int64_t>(riders.size()));
 }
 BENCHMARK(BM_CandidateRetrieval)
-    ->ArgNames({"fleet", "st"})
-    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}})
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Jaccard(benchmark::State& state) {
@@ -438,10 +371,9 @@ BENCHMARK(BM_Jaccard);
 
 /// Perf snapshot for the repo: the solvers' candidate-evaluation phase
 /// (EvaluateCandidates over the full rider x vehicle pair set of the
-/// generator city) timed under scalar CH (batch_eval off, per-pair ChQuery)
-/// versus batched hub labels (one many-to-many prefetch per wave). Values
-/// are bit-identical; only the wall clock moves. Writes a small JSON file
-/// so the speedup is tracked in-tree.
+/// generator city, one many-to-many prefetch per wave) timed under CH
+/// versus hub labels. Values are bit-identical; only the wall clock moves.
+/// Writes a small JSON file so the speedup is tracked in-tree.
 int EmitOracleSnapshot(const std::string& path) {
   EvalWorld ew;
   MicroWorld& w = World();
@@ -454,13 +386,12 @@ int EmitOracleSnapshot(const std::string& path) {
   const double hl_prep_s = hl_prep.ElapsedSeconds();
 
   // Best-of-R wall clock for one EvaluateCandidates pass over all pairs.
-  auto measure = [&](DistanceOracle* oracle, bool batch_eval) {
+  auto measure = [&](DistanceOracle* oracle) {
     Rng rng(1);
     SolverContext ctx;
     ctx.oracle = oracle;
     ctx.model = ew.model.get();
     ctx.rng = &rng;
-    ctx.batch_eval = batch_eval;
     double best = 1e300;
     for (int rep = 0; rep < 6; ++rep) {
       Stopwatch t;
@@ -473,9 +404,8 @@ int EmitOracleSnapshot(const std::string& path) {
     }
     return best;
   };
-  const double scalar_ch_s = measure(ew.oracle.get(), /*batch_eval=*/false);
-  const double batched_ch_s = measure(ew.oracle.get(), /*batch_eval=*/true);
-  const double batched_hl_s = measure(hl->get(), /*batch_eval=*/true);
+  const double batched_ch_s = measure(ew.oracle.get());
+  const double batched_hl_s = measure(hl->get());
 
   // Index-construction rows: the full preprocessing pipeline (CH contraction
   // + hub-label extraction, both timed separately) at 1, 2 and 8 threads —
@@ -547,16 +477,15 @@ int EmitOracleSnapshot(const std::string& path) {
                "  \"vehicles\": %d,\n"
                "  \"pairs\": %zu,\n"
                "  \"hl_label_build_seconds\": %.3f,\n"
-               "  \"scalar_ch_seconds\": %.6f,\n"
                "  \"batched_ch_seconds\": %.6f,\n"
                "  \"batched_hl_seconds\": %.6f,\n"
-               "  \"speedup_batched_hl_vs_scalar_ch\": %.2f,\n"
+               "  \"speedup_batched_hl_vs_batched_ch\": %.2f,\n"
                "  \"index_build\": [\n",
                w.network.num_nodes(),
                static_cast<int>(ew.instance.riders.size()),
                static_cast<int>(ew.instance.vehicles.size()), ew.pairs.size(),
-               hl_prep_s, scalar_ch_s, batched_ch_s, batched_hl_s,
-               scalar_ch_s / batched_hl_s);
+               hl_prep_s, batched_ch_s, batched_hl_s,
+               batched_ch_s / batched_hl_s);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
                  "    {\"threads\": %d, \"ch_contract_seconds\": %.6f, "
@@ -572,10 +501,9 @@ int EmitOracleSnapshot(const std::string& path) {
                "}\n",
                save_s, load_s, cold_start_speedup);
   std::fclose(f);
-  std::printf("wrote %s: scalar CH %.3fms, batched CH %.3fms, batched HL "
-              "%.3fms (%.1fx)\n",
-              path.c_str(), scalar_ch_s * 1e3, batched_ch_s * 1e3,
-              batched_hl_s * 1e3, scalar_ch_s / batched_hl_s);
+  std::printf("wrote %s: batched CH %.3fms, batched HL %.3fms (%.1fx)\n",
+              path.c_str(), batched_ch_s * 1e3, batched_hl_s * 1e3,
+              batched_ch_s / batched_hl_s);
   std::printf("index build: serial %.3fs (contract %.3fs + labels %.3fs), "
               "8-thread contract %.3fs; snapshot load %.3fs (%.0fx cold-start "
               "speedup)\n",
@@ -584,79 +512,16 @@ int EmitOracleSnapshot(const std::string& path) {
   return 0;
 }
 
-/// Perf snapshot of the candidate-retrieval fleet sweep: best-of-R wall
-/// clock for one 64-rider retrieval window over 1k / 10k / 100k idle
-/// vehicles, reverse Dijkstra vs ST-index, appended as one JSON line per
-/// fleet size (the same file bench_engine appends to, so the comparison
-/// lives next to the end-to-end rows). Both paths return identical lists;
-/// the emitter re-checks that before writing.
-int EmitRetrievalSnapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot append to %s\n", path.c_str());
-    return 1;
-  }
-  int rc = 0;
-  for (const int fleet : {1000, 10000, 100000}) {
-    RetrievalWorld& rw = RetrievalWorldFor(fleet);
-    auto measure = [&](bool st_path, int64_t* candidates) {
-      SolverContext ctx = rw.Context(st_path);
-      double best = 1e300;
-      for (int rep = 0; rep < 6; ++rep) {
-        Stopwatch t;
-        auto out = CandidateVehiclesForRiders(rw.instance, &ctx, rw.sol,
-                                              rw.riders, nullptr);
-        benchmark::DoNotOptimize(out.data());
-        const double s = t.ElapsedSeconds();
-        if (rep > 0 && s < best) best = s;  // rep 0 warms up (ST: full sync)
-        *candidates = 0;
-        for (const auto& c : out) *candidates += static_cast<int64_t>(c.size());
-      }
-      return best;
-    };
-    int64_t dijkstra_candidates = 0, st_candidates = 0;
-    const double dijkstra_s = measure(false, &dijkstra_candidates);
-    const double st_s = measure(true, &st_candidates);
-    if (dijkstra_candidates != st_candidates) {
-      std::fprintf(stderr, "retrieval mismatch at fleet %d: %lld vs %lld\n",
-                   fleet, static_cast<long long>(dijkstra_candidates),
-                   static_cast<long long>(st_candidates));
-      rc = 1;
-    }
-    std::fprintf(
-        f,
-        "{\"bench\":\"retrieval_micro\",\"fleet\":%d,\"riders\":%zu,"
-        "\"budget_range\":[600,1800],\"candidates\":%lld,"
-        "\"dijkstra_seconds\":%.6f,"
-        "\"st_index_seconds\":%.6f,\"speedup_st_vs_dijkstra\":%.2f}\n",
-        fleet, rw.riders.size(), static_cast<long long>(st_candidates),
-        dijkstra_s, st_s, st_s > 0 ? dijkstra_s / st_s : 0);
-    std::printf("fleet %6d: dijkstra %8.3fms  st-index %8.3fms  (%.1fx)\n",
-                fleet, dijkstra_s * 1e3, st_s * 1e3,
-                st_s > 0 ? dijkstra_s / st_s : 0);
-  }
-  std::fclose(f);
-  std::printf("retrieval rows appended to %s\n", path.c_str());
-  return rc;
-}
-
 }  // namespace urr
 
-// BENCHMARK_MAIN, plus two escape hatches that write perf snapshots instead
+// BENCHMARK_MAIN, plus an escape hatch that writes a perf snapshot instead
 // of running the google-benchmark suite: URR_EMIT_ORACLE_JSON=<path> (the
-// candidate-evaluation snapshot) and URR_EMIT_RETRIEVAL_JSON=<path> (the
-// retrieval fleet sweep, appended to BENCH_engine.json by default).
+// candidate-evaluation snapshot).
 int main(int argc, char** argv) {
   const std::string snapshot = urr::GetEnvString("URR_EMIT_ORACLE_JSON", "");
   if (!snapshot.empty()) {
     return urr::EmitOracleSnapshot(snapshot == "1" ? "BENCH_oracle.json"
                                                    : snapshot);
-  }
-  const std::string retrieval =
-      urr::GetEnvString("URR_EMIT_RETRIEVAL_JSON", "");
-  if (!retrieval.empty()) {
-    return urr::EmitRetrievalSnapshot(retrieval == "1" ? "BENCH_engine.json"
-                                                       : retrieval);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

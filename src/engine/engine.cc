@@ -65,16 +65,6 @@ DispatchEngine::DispatchEngine(const StreamingWorkload* workload,
   ctx_.eval_cache = config_.use_eval_cache ? &eval_cache_ : nullptr;
   ctx_.counters = &counters_;
   ctx_.retrieval_stats = &retrieval_stats_;
-  ctx_.st_index = nullptr;
-  ctx_.st_confirm_oracle = nullptr;
-  if (config_.use_st_index && instance_.network->has_coords()) {
-    Result<StIndex> built = StIndex::Build(*instance_.network);
-    if (built.ok()) {
-      st_index_ = std::make_unique<StIndex>(std::move(*built));
-      ctx_.st_index = st_index_.get();
-      ctx_.st_confirm_oracle = clean_oracle_;
-    }
-  }
   const size_t n = instance_.riders.size();
   state_.assign(n, RiderState::kPending);
   arrival_time_.assign(n, instance_.now);
@@ -96,9 +86,6 @@ DispatchEngine::DispatchEngine(const StreamingWorkload* workload,
 }
 
 DistanceOracle* DispatchEngine::SetupOverlay() {
-  // The pre-overlay oracle answers clean-network distances — what the
-  // reverse-Dijkstra prefilter measures — and backs the ST-index confirm.
-  clean_oracle_ = ctx_.oracle;
   if (!workload_->faults.HasEdgeFaults() && !config_.arm_overlay) {
     return ctx_.oracle;
   }
@@ -262,31 +249,12 @@ void DispatchEngine::FinishRun() {
   metrics_.screened_pairs = counters_.screened_pairs.load();
   metrics_.elided_queries = counters_.elided_queries.load();
   metrics_.kernel_evals = counters_.kernel_evals.load();
-  // Flush the candidate-retrieval counters (recorded on both the ST-index
-  // and reverse-Dijkstra paths).
-  metrics_.st_index_active = ctx_.st_index != nullptr;
+  // Flush the candidate-retrieval counters.
   metrics_.retrieval_riders = retrieval_stats_.riders.load();
-  metrics_.retrieval_candidates = retrieval_stats_.confirmed.load();
-  metrics_.retrieval_scanned = retrieval_stats_.scanned.load();
-  metrics_.retrieval_screened_out = retrieval_stats_.screened_out.load();
-  metrics_.retrieval_confirm_rejected =
-      retrieval_stats_.confirm_rejected.load();
-  metrics_.retrieval_dijkstra = retrieval_stats_.dijkstra_retrievals.load();
+  metrics_.retrieval_candidates = retrieval_stats_.candidates.load();
   metrics_.retrieval_seconds = retrieval_stats_.retrieval_nanos.load() * 1e-9;
-  const std::vector<int32_t>& per = retrieval_stats_.per_rider_candidates;
-  if (!per.empty()) {
-    int64_t sum = 0;
-    for (int32_t c : per) sum += c;
-    metrics_.retrieval_mean_candidates =
-        static_cast<double>(sum) / static_cast<double>(per.size());
-    metrics_.retrieval_p99_candidates =
-        Percentile(std::vector<double>(per.begin(), per.end()), 99);
-  }
-  if (metrics_.retrieval_scanned > 0) {
-    metrics_.retrieval_screen_prune_ratio =
-        static_cast<double>(metrics_.retrieval_screened_out) /
-        static_cast<double>(metrics_.retrieval_scanned);
-  }
+  retrieval_stats_.SummarizeCandidates(&metrics_.retrieval_mean_candidates,
+                                       &metrics_.retrieval_p99_candidates);
   if (overlay_stats_ != nullptr) {
     metrics_.overlay_queries = overlay_stats_->queries.load();
     metrics_.overlay_euclid_screened = overlay_stats_->euclid_screened.load();
@@ -1038,7 +1006,7 @@ Status DispatchEngine::SolveWindow(Cost t) {
     const int64_t retrieval_nanos_before =
         retrieval_stats_.retrieval_nanos.load();
     const int64_t retrieval_candidates_before =
-        retrieval_stats_.confirmed.load();
+        retrieval_stats_.candidates.load();
     const std::vector<RiderId> riders = queued_;  // FIFO arrival order
     // Only this window's riders may be bumped by BA-style replacement;
     // commitments from earlier windows are promises.
@@ -1069,7 +1037,7 @@ Status DispatchEngine::SolveWindow(Cost t) {
         (retrieval_stats_.retrieval_nanos.load() - retrieval_nanos_before) *
         1e-9;
     wm.retrieval_candidates = static_cast<int>(
-        retrieval_stats_.confirmed.load() - retrieval_candidates_before);
+        retrieval_stats_.candidates.load() - retrieval_candidates_before);
     metrics_.solve_latencies.push_back(wm.solve_seconds);
     metrics_.retrieval_latencies.push_back(wm.retrieval_seconds);
     std::vector<RiderId> still_queued;

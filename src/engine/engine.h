@@ -30,7 +30,6 @@
 #include "engine/event.h"
 #include "engine/workload.h"
 #include "routing/disruption_overlay.h"
-#include "spatial/st_index.h"
 #include "urr/eval_cache.h"
 #include "urr/gbs.h"
 #include "urr/online.h"
@@ -104,12 +103,6 @@ struct EngineConfig {
   /// later via InjectEdgeFaultLive. With no disruptions active the overlay
   /// passes every query through to the clean precomputed stack.
   bool arm_overlay = false;
-  /// Answer candidate retrieval from the incremental spatio-temporal hash
-  /// index (StIndex) instead of per-rider bounded reverse Dijkstra.
-  /// Requires network coordinates; silently stays on the Dijkstra path
-  /// without them. The event log and final fleet state are byte-identical
-  /// either way (toggle-matrix differential-tested).
-  bool use_st_index = false;
 };
 
 /// Runs one streaming workload to completion. Borrows the workload and the
@@ -350,12 +343,6 @@ class DispatchEngine {
   SolverContext ctx_;     // caller's context with our index + rng patched in
   VehicleIndex vehicle_index_;
   Rng rng_;
-  // Pre-overlay oracle for the ST-index exact-confirm stage: the baseline
-  // prefilter (vehicle_index_'s reverse Dijkstra) always measures the
-  // clean network, so the confirm must too even when faults wrap
-  // ctx_.oracle. Captured by SetupOverlay before wrapping — keep declared
-  // before solution_ (SetupOverlay runs during its initialization).
-  DistanceOracle* clean_oracle_ = nullptr;
   // Disruption-overlay stack (wired by SetupOverlay when the workload has
   // edge faults; all null otherwise). Declared before solution_ so the
   // schedules can be built over the overlay oracle.
@@ -366,11 +353,7 @@ class DispatchEngine {
   UrrSolution solution_;
   EvalCache eval_cache_;     // cross-window memo (wired when use_eval_cache)
   EvalCounters counters_;    // eval-path counters, flushed into metrics_
-  // Spatio-temporal candidate index (wired when config.use_st_index and the
-  // network has coordinates) plus the retrieval counters recorded on both
-  // retrieval paths and flushed into metrics_.
-  std::unique_ptr<StIndex> st_index_;
-  RetrievalStats retrieval_stats_;
+  RetrievalStats retrieval_stats_;  // flushed into metrics_
   std::optional<GbsPreprocess> gbs_pre_;        // owned when not injected
   const GbsPreprocess* gbs_pre_ptr_ = nullptr;  // whichever is active
 

@@ -87,17 +87,11 @@ std::string EngineMetricsJson(const EngineMetrics& m, bool include_windows) {
       .Field("oracle_misses", m.oracle_misses);
   w.Key("retrieval")
       .BeginObject()
-      .Field("st_index_active", m.st_index_active)
       .Field("riders", m.retrieval_riders)
       .Field("candidates", m.retrieval_candidates)
-      .Field("scanned", m.retrieval_scanned)
-      .Field("screened_out", m.retrieval_screened_out)
-      .Field("confirm_rejected", m.retrieval_confirm_rejected)
-      .Field("dijkstra_retrievals", m.retrieval_dijkstra)
       .Field("seconds", m.retrieval_seconds)
       .Field("mean_candidates", m.retrieval_mean_candidates)
       .Field("p99_candidates", m.retrieval_p99_candidates)
-      .Field("screen_prune_ratio", m.retrieval_screen_prune_ratio)
       .EndObject();
   w.Field("num_windows", static_cast<int>(m.windows.size()));
   percentile_field("pickup_wait_p50", m.pickup_waits, 50);

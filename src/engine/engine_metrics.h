@@ -97,19 +97,12 @@ struct EngineMetrics {
   /// Shared distance-cache stats (CachingOracle, when active; else 0).
   int64_t oracle_hits = 0;
   int64_t oracle_misses = 0;
-  /// Candidate-retrieval counters (recorded on both the ST-index and the
-  /// reverse-Dijkstra paths, so A/B runs are directly comparable).
-  bool st_index_active = false;        // retrieval answered from the StIndex
+  /// Candidate-retrieval counters (see RetrievalStats).
   int64_t retrieval_riders = 0;        // retrieval queries answered
-  int64_t retrieval_candidates = 0;    // final candidates returned
-  int64_t retrieval_scanned = 0;       // anchors touched by ST disc scans
-  int64_t retrieval_screened_out = 0;  // pruned by the Euclidean bound
-  int64_t retrieval_confirm_rejected = 0;  // failed the exact confirm
-  int64_t retrieval_dijkstra = 0;      // queries on the baseline path
+  int64_t retrieval_candidates = 0;    // candidates returned in total
   double retrieval_seconds = 0;        // total wall time in retrieval
   double retrieval_mean_candidates = 0;  // mean |C_i| per query
   double retrieval_p99_candidates = 0;   // p99 |C_i| per query
-  double retrieval_screen_prune_ratio = 0;  // screened_out / scanned
   std::vector<WindowMetrics> windows;
   /// Per picked-up rider: pickup time − arrival time (simulated clock).
   std::vector<double> pickup_waits;

@@ -22,11 +22,6 @@ SolverContext ExperimentWorld::Context() {
   ctx.euclid_speed = max_speed;
   ctx.pool = pool.get();
   ctx.worker_set = worker_set;
-  ctx.st_index = st_index.get();
-  // The harness stack carries no disruption overlay, so the active oracle
-  // already answers clean-network distances — exactly what the baseline
-  // prefilter measures.
-  ctx.st_confirm_oracle = oracles.active;
   ctx.retrieval_stats = &retrieval_stats;
   return ctx;
 }
@@ -169,18 +164,6 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
   world->vehicle_index =
       std::make_unique<VehicleIndex>(world->network, locations);
   world->max_speed = world->network.MaxSpeed();
-
-  // --- Spatio-temporal candidate index. ------------------------------------
-  // Enabled by config or the URR_ST_INDEX environment toggle; needs node
-  // coordinates (falls back silently to the reverse-Dijkstra prefilter).
-  world->config.use_st_index =
-      config.use_st_index || GetEnvInt("URR_ST_INDEX", 0) != 0;
-  if (world->config.use_st_index && world->network.has_coords()) {
-    Result<StIndex> st = StIndex::Build(world->network);
-    if (st.ok()) {
-      world->st_index = std::make_unique<StIndex>(std::move(*st));
-    }
-  }
 
   // --- Evaluation-pool wiring. ---------------------------------------------
   // Worker 0 (the caller) keeps the shared caching oracle; workers 1..T-1

@@ -16,7 +16,6 @@
 #include "social/checkins.h"
 #include "social/generators.h"
 #include "social/history_similarity.h"
-#include "spatial/st_index.h"
 #include "spatial/vehicle_index.h"
 #include "trips/instance_builder.h"
 #include "urr/gbs.h"
@@ -74,12 +73,6 @@ struct ExperimentConfig {
   /// build. Empty = always build.
   std::string index_snapshot;
 
-  /// Answer candidate retrieval from the incremental spatio-temporal hash
-  /// index instead of per-rider bounded reverse Dijkstra. Defaults to the
-  /// URR_ST_INDEX environment variable (unset/0 = off). Candidate sets —
-  /// and therefore solver outputs — are identical either way.
-  bool use_st_index = false;
-
   GbsOptions gbs;                 // k / d_max / auto_k for GBS runs
 };
 
@@ -96,10 +89,7 @@ struct ExperimentWorld {
   UrrInstance instance;
   UtilityModel model{nullptr, {}};  // re-pointed in BuildWorld
   std::unique_ptr<VehicleIndex> vehicle_index;
-  /// Spatio-temporal candidate index (built when config.use_st_index and
-  /// the network has coordinates; null otherwise) plus the retrieval
-  /// counters both retrieval paths record into.
-  std::unique_ptr<StIndex> st_index;
+  /// Counters the contexts from Context() record candidate retrieval into.
   RetrievalStats retrieval_stats;
   Rng rng{42};
   ExperimentConfig config;

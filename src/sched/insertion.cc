@@ -8,25 +8,12 @@ namespace {
 
 constexpr Cost kEps = 1e-7;
 
-struct PickupCandidate {
-  int pos;
-  Cost delta;
-};
-
 /// Location a stop inserted at `pos` would depart from.
-NodeId OriginAt(const TransferSequence& seq, int pos) {
-  return pos == 0 ? seq.start_location() : seq.stop(pos - 1).location;
-}
-
 NodeId OriginAt(const ScheduleView& seq, int pos) {
   return pos == 0 ? seq.start : seq.stop(pos - 1).location;
 }
 
 /// Earliest start time of (possibly appended) leg `pos`.
-Cost EarliestStartAt(const TransferSequence& seq, int pos) {
-  return pos < seq.num_stops() ? seq.EarliestStart(pos) : seq.EndTime();
-}
-
 Cost EarliestStartAt(const ScheduleView& seq, int pos) {
   return pos < seq.num_stops ? seq.EarliestStart(pos) : seq.EndTime();
 }
@@ -45,10 +32,11 @@ Result<InsertionPlan> FindBestInsertionScratch(const ScheduleView& seq,
   uint64_t queries = 0;
 
   // --- Valid pickup positions (Lemma 3.1 conditions a–d for x = s_i). -----
-  // Identical decision sequence to the copy-based kernel; screening only
-  // converts a position that would provably `continue` into the same
-  // `continue` without the oracle query, so results and the
-  // capacity_blocked flag cannot change (conditions a–c precede d).
+  // Positions below commit_floor belong to a leg the vehicle is already
+  // driving and cannot be diverted. Screening only converts a position that
+  // would provably `continue` into the same `continue` without the oracle
+  // query, so results and the capacity_blocked flag cannot change
+  // (conditions a–c precede d).
   auto& pickups = scratch->pickups;
   pickups.clear();
   for (int u = seq.commit_floor; u <= w; ++u) {
@@ -101,11 +89,11 @@ Result<InsertionPlan> FindBestInsertionScratch(const ScheduleView& seq,
             [](const InsertionScratch::Pickup& a,
                const InsertionScratch::Pickup& b) { return a.delta < b.delta; });
 
-  // Trial-schedule derived fields. The copy-based kernel clones the
-  // schedule, inserts the pickup and lets Rebuild recompute everything;
-  // here the prefix [0, pos) is untouched (read through `seq`) and only
-  // the suffix [pos, w] is materialized, with the exact Rebuild
-  // recurrences — so every comparison below sees bit-identical operands.
+  // Trial-schedule derived fields (updateEventFields in Algorithm 1). The
+  // prefix [0, pos) is untouched (read through `seq`) and only the suffix
+  // [pos, w] is materialized, with the exact Rebuild recurrences — so every
+  // comparison below sees the operands an inserted-then-rebuilt schedule
+  // would.
   const int w2 = w + 1;  // trial length with the pickup inserted
   auto& arrival = scratch->arrival;
   auto& latest = scratch->latest;
@@ -232,93 +220,6 @@ Result<InsertionPlan> FindBestInsertion(const TransferSequence& seq,
                                   /*screen=*/nullptr, &scratch);
 }
 
-Result<InsertionPlan> FindBestInsertionCopy(const TransferSequence& seq,
-                                            const RiderTrip& trip,
-                                            bool* capacity_blocked) {
-  DistanceOracle* oracle = seq.oracle();
-  const int w = seq.num_stops();
-  if (capacity_blocked != nullptr) *capacity_blocked = false;
-
-  // --- Valid pickup positions (Lemma 3.1 conditions a–d for x = s_i). -----
-  // Positions below commit_floor() belong to a leg the vehicle is already
-  // driving and cannot be diverted.
-  std::vector<PickupCandidate> pickups;
-  for (int u = seq.commit_floor(); u <= w; ++u) {
-    const Cost estart = EarliestStartAt(seq, u);
-    // Lemma 3.2: earliest start times are non-decreasing along the sequence,
-    // so once one exceeds the pickup deadline no later position is valid.
-    if (estart > trip.pickup_deadline + kEps) break;
-    const Cost to_s = oracle->Distance(OriginAt(seq, u), trip.source);
-    // Conditions a+b in their tight form: the vehicle must reach s_i by its
-    // deadline departing at the leg's earliest start.
-    if (estart + to_s > trip.pickup_deadline + kEps) continue;
-    if (u < w) {
-      const Cost delta =
-          to_s + oracle->Distance(trip.source, seq.stop(u).location) -
-          seq.leg_cost(u);
-      if (delta > seq.FlexTime(u) + kEps) continue;        // condition c
-      if (seq.Onboard(u) + 1 > seq.capacity()) {           // condition d
-        if (capacity_blocked != nullptr) *capacity_blocked = true;
-        continue;
-      }
-      pickups.push_back({u, delta});
-    } else {
-      if (seq.EndOnboard() + 1 > seq.capacity()) {          // condition d
-        if (capacity_blocked != nullptr) *capacity_blocked = true;
-        continue;
-      }
-      pickups.push_back({u, to_s});                          // appended leg
-    }
-  }
-  if (pickups.empty()) {
-    return Status::Infeasible("no valid pickup position");
-  }
-  std::sort(pickups.begin(), pickups.end(),
-            [](const PickupCandidate& a, const PickupCandidate& b) {
-              return a.delta < b.delta;
-            });
-
-  InsertionPlan best;
-  for (const PickupCandidate& cand : pickups) {
-    if (cand.delta >= best.delta_cost) break;  // Δ-sorted early exit
-    // Insert s_i and recompute fields (updateEventFields in Algorithm 1).
-    TransferSequence trial = seq;
-    trial.InsertStop(cand.pos, Stop{trip.source, trip.rider, StopType::kPickup,
-                                    trip.pickup_deadline});
-    const int w2 = trial.num_stops();
-    // --- Valid dropoff positions v > pickup position, on the updated
-    // sequence. The rider is onboard legs cand.pos+1 .. v, so every such leg
-    // must respect capacity; trial already counts the unmatched pickup.
-    for (int v = cand.pos + 1; v <= w2; ++v) {
-      if (v < w2 && trial.Onboard(v) > trial.capacity()) {
-        if (capacity_blocked != nullptr) *capacity_blocked = true;
-        break;
-      }
-      const Cost estart = EarliestStartAt(trial, v);
-      if (estart > trip.dropoff_deadline + kEps) break;  // Lemma 3.2
-      const Cost to_e = oracle->Distance(OriginAt(trial, v), trip.destination);
-      if (estart + to_e > trip.dropoff_deadline + kEps) continue;
-      Cost delta_e;
-      if (v < w2) {
-        delta_e = to_e +
-                  oracle->Distance(trip.destination, trial.stop(v).location) -
-                  trial.leg_cost(v);
-        if (delta_e > trial.FlexTime(v) + kEps) continue;  // condition c
-      } else {
-        delta_e = to_e;
-      }
-      const Cost total = cand.delta + delta_e;
-      if (total < best.delta_cost) {
-        best = {cand.pos, v, total};
-      }
-    }
-  }
-  if (best.pickup_pos < 0) {
-    return Status::Infeasible("no valid (pickup, dropoff) position pair");
-  }
-  return best;
-}
-
 ScheduleView BuildTrialView(const ScheduleView& seq, const RiderTrip& trip,
                             const InsertionPlan& plan,
                             InsertionScratch* scratch) {
@@ -358,8 +259,8 @@ ScheduleView BuildTrialView(const ScheduleView& seq, const RiderTrip& trip,
   }
   // Leg costs: only the (at most four) legs adjacent to an inserted stop
   // changed; the rest are shifted copies. Re-queried legs hit the same
-  // deterministic oracle Rebuild would, so values are bit-identical to the
-  // copy-then-Rebuild path.
+  // deterministic oracle Rebuild would, so values are bit-identical to
+  // ApplyInsertion on a copy.
   DistanceOracle* oracle = seq.oracle;
   for (int v = 0; v < w2; ++v) {
     const NodeId origin =

@@ -3,12 +3,11 @@
 // reordering it. Implements the Lemma-3.1 validity conditions, the
 // Lemma-3.2 earliest-start pruning and the Δ-sorted early break.
 //
-// Two kernels compute the same plan: the legacy copy-based one (clones the
-// schedule per pickup candidate) and the zero-copy scratch kernel, which
-// derives the trial schedule's Eq. 6-8 fields into reusable flat arrays
-// from a read-only ScheduleView. Values are bit-identical by construction;
-// the scratch kernel additionally supports Euclidean lower-bound screening
-// that elides oracle queries whose outcome a cheap bound already decides.
+// The kernel is zero-copy: it derives the trial schedule's Eq. 6-8 fields
+// into reusable flat arrays from a read-only ScheduleView instead of
+// cloning the schedule per pickup candidate, and optionally applies a
+// Euclidean lower-bound screen that elides oracle queries whose outcome the
+// bound already decides. FindBestInsertionBruteForce is its test referee.
 #ifndef URR_SCHED_INSERTION_H_
 #define URR_SCHED_INSERTION_H_
 
@@ -115,13 +114,6 @@ Result<InsertionPlan> FindBestInsertionScratch(const ScheduleView& seq,
                                                bool* capacity_blocked,
                                                const InsertionScreen* screen,
                                                InsertionScratch* scratch);
-
-/// The legacy copy-based kernel (clones the schedule per pickup candidate).
-/// Kept as the differential baseline for tests and bench_eval; production
-/// callers use FindBestInsertion / FindBestInsertionScratch.
-Result<InsertionPlan> FindBestInsertionCopy(const TransferSequence& seq,
-                                            const RiderTrip& trip,
-                                            bool* capacity_blocked = nullptr);
 
 /// Materializes `plan` (as returned by FindBestInsertion) into `seq`.
 Status ApplyInsertion(TransferSequence* seq, const RiderTrip& trip,

@@ -141,8 +141,8 @@ std::vector<RiderId> ScheduleView::Riders() const {
   return out;
 }
 
-// The TransferSequence queries delegate to the view implementations so the
-// copy-based and zero-copy evaluation paths run the same code by
+// The TransferSequence queries delegate to the view implementations so a
+// schedule and the zero-copy kernel's views run the same code by
 // construction — bit-identity between them cannot drift.
 std::vector<RiderId> TransferSequence::OnboardRiders(int u) const {
   return View().OnboardRiders(u);

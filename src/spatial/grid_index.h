@@ -29,21 +29,12 @@ class GridIndex {
   /// search); kInvalidNode for an empty index.
   NodeId NearestNode(const Coord& center) const;
 
-  int num_cells_x() const { return cells_x_; }
-  int num_cells_y() const { return cells_y_; }
-
+ private:
+  GridIndex() = default;
   /// Column/row of an x/y coordinate, clamped to the grid (coordinates
   /// outside the build-time bounding box land in a border cell).
   int CellX(double x) const;
   int CellY(double y) const;
-
-  /// Flattened row-major id of cell (cx, cy); ids are in
-  /// [0, num_cells_x() * num_cells_y()).
-  int CellId(int cx, int cy) const { return cy * cells_x_ + cx; }
-
- private:
-  friend class StIndex;  // embeds an empty GridIndex before its own Build
-  GridIndex() = default;
   const std::vector<NodeId>& Cell(int cx, int cy) const {
     return cells_[static_cast<size_t>(cy) * static_cast<size_t>(cells_x_) +
                   static_cast<size_t>(cx)];

@@ -63,10 +63,8 @@ void BilateralArrange(const UrrInstance& instance, SolverContext* ctx,
 
   // Lines 1-2: the C_i lists. Stored per rider and consumed monotonically,
   // which bounds the total work by Σ|C_i| (a replaced rider re-enters the
-  // pool with its remaining list, never a refilled one). Retrieval goes
-  // through CandidateVehiclesForRiders (ST-index hash lookups when
-  // attached, reverse Dijkstra otherwise — identical ascending-id lists),
-  // so pool membership and every rng draw below are retrieval-path- and
+  // pool with its remaining list, never a refilled one). Lists come back in
+  // ascending-id order, so pool membership and every rng draw below are
   // thread-count-independent.
   std::vector<RiderId> open;
   for (RiderId i : riders) {
@@ -75,7 +73,7 @@ void BilateralArrange(const UrrInstance& instance, SolverContext* ctx,
   }
   std::vector<std::vector<int>> lists(open.size());
   if (group_filter == nullptr) {
-    lists = CandidateVehiclesForRiders(instance, ctx, *sol, open, &allowed);
+    lists = CandidateVehiclesForRiders(instance, ctx, open, &allowed);
   } else {
     for (size_t k = 0; k < open.size(); ++k) {
       lists[k] =

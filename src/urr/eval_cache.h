@@ -1,4 +1,4 @@
-// Cross-window candidate-evaluation cache. EvaluateInsertion is a pure
+// Cross-window candidate-evaluation cache. An insertion evaluation is a pure
 // function of (rider trip, vehicle schedule), and TransferSequence stamps a
 // process-unique version on every content mutation — so a CandidateEval
 // keyed by (rider, vehicle, schedule-version) stays valid until the vehicle

@@ -86,8 +86,8 @@ Status GbsArrange(const UrrInstance& instance, SolverContext* ctx,
   std::vector<Cost> direct_cost(riders.size());
   DistanceOracle* classify_oracle =
       ctx->worker_oracle(ThreadPool::CurrentWorker());
-  if (ctx->batch_eval && classify_oracle != nullptr &&
-      classify_oracle->SupportsBatch() && !riders.empty()) {
+  if (classify_oracle != nullptr && classify_oracle->SupportsBatch() &&
+      !riders.empty()) {
     // One element-wise batch answers every rider's direct distance with the
     // exact per-pair values, so grouping is unchanged.
     std::vector<NodeId> sources, destinations;

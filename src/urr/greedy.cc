@@ -44,14 +44,11 @@ void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
   std::priority_queue<QueueEntry> queue;
 
   // Lines 2-7 of Algorithm 3: build the valid pair set with efficiencies.
-  // Candidate retrieval goes through CandidateVehiclesForRiders — with an
-  // ST index attached the per-rider screens fan out over the context's
-  // pool, otherwise the reverse Dijkstras run serially; either way each
-  // rider's list is the same set in ascending-id order. The independent
-  // EvaluateInsertion calls — the dominant cost of the refill — are
-  // batched and fanned out as before. Pairs enter the queue in rider order
-  // then candidate order, so the heap (and therefore every later pop and
-  // tie-break) is identical for any thread count and retrieval path.
+  // Each rider's candidate list comes back in ascending-id order. The
+  // independent evaluations — the dominant cost of the refill — are
+  // batched and fanned out. Pairs enter the queue in rider order then
+  // candidate order, so the heap (and therefore every later pop and
+  // tie-break) is identical for any thread count.
   const bool need_utility = objective != GreedyObjective::kCostFirst;
   std::vector<RiderId> open;
   for (RiderId i : riders) {
@@ -60,7 +57,7 @@ void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
   }
   std::vector<std::vector<int>> candidates(open.size());
   if (group_filter == nullptr) {
-    candidates = CandidateVehiclesForRiders(instance, ctx, *sol, open, &allowed);
+    candidates = CandidateVehiclesForRiders(instance, ctx, open, &allowed);
   } else {
     for (size_t k = 0; k < open.size(); ++k) {
       candidates[k] =

@@ -6,7 +6,6 @@
 
 #include "common/json_writer.h"
 #include "routing/distance_oracle.h"
-#include "spatial/st_index.h"
 #include "urr/eval_cache.h"
 #include "urr/online.h"
 
@@ -83,31 +82,10 @@ void AttachEvalStats(const SolverContext& ctx, SolutionMetrics* metrics) {
   }
   if (const RetrievalStats* rs = ctx.retrieval_stats; rs != nullptr) {
     metrics->retrieval_riders = rs->riders.load();
-    metrics->retrieval_candidates = rs->confirmed.load();
-    metrics->retrieval_scanned = rs->scanned.load();
-    metrics->retrieval_screened_out = rs->screened_out.load();
-    metrics->retrieval_confirm_rejected = rs->confirm_rejected.load();
-    metrics->retrieval_dijkstra = rs->dijkstra_retrievals.load();
+    metrics->retrieval_candidates = rs->candidates.load();
     metrics->retrieval_seconds = rs->retrieval_nanos.load() * 1e-9;
-    const std::vector<int32_t>& per = rs->per_rider_candidates;
-    if (!per.empty()) {
-      int64_t sum = 0;
-      for (int32_t c : per) sum += c;
-      metrics->retrieval_mean_candidates =
-          static_cast<double>(sum) / static_cast<double>(per.size());
-      std::vector<int32_t> sorted = per;
-      std::sort(sorted.begin(), sorted.end());
-      const size_t rank = std::min(
-          sorted.size() - 1,
-          static_cast<size_t>(
-              std::ceil(0.99 * static_cast<double>(sorted.size())) - 1));
-      metrics->retrieval_p99_candidates = sorted[rank];
-    }
-    if (metrics->retrieval_scanned > 0) {
-      metrics->retrieval_screen_prune_ratio =
-          static_cast<double>(metrics->retrieval_screened_out) /
-          static_cast<double>(metrics->retrieval_scanned);
-    }
+    rs->SummarizeCandidates(&metrics->retrieval_mean_candidates,
+                            &metrics->retrieval_p99_candidates);
   }
 }
 
@@ -189,14 +167,9 @@ std::string MetricsJson(const SolutionMetrics& m) {
       .BeginObject()
       .Field("riders", m.retrieval_riders)
       .Field("candidates", m.retrieval_candidates)
-      .Field("scanned", m.retrieval_scanned)
-      .Field("screened_out", m.retrieval_screened_out)
-      .Field("confirm_rejected", m.retrieval_confirm_rejected)
-      .Field("dijkstra_retrievals", m.retrieval_dijkstra)
       .Field("seconds", m.retrieval_seconds)
       .Field("mean_candidates", m.retrieval_mean_candidates)
       .Field("p99_candidates", m.retrieval_p99_candidates)
-      .Field("screen_prune_ratio", m.retrieval_screen_prune_ratio)
       .EndObject();
   w.Key("rejects_by_reason")
       .BeginObject()

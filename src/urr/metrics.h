@@ -36,18 +36,12 @@ struct SolutionMetrics {
   int64_t oracle_entries = 0;
 
   /// Candidate-retrieval counters (filled by AttachEvalStats when the
-  /// context carries RetrievalStats; 0 otherwise). Both retrieval paths
-  /// record them, so A/B runs are directly comparable.
+  /// context carries RetrievalStats; 0 otherwise).
   int64_t retrieval_riders = 0;        // retrieval queries answered
-  int64_t retrieval_candidates = 0;    // final candidates returned
-  int64_t retrieval_scanned = 0;       // anchors touched by ST disc scans
-  int64_t retrieval_screened_out = 0;  // pruned by the Euclidean bound
-  int64_t retrieval_confirm_rejected = 0;  // failed the exact confirm
-  int64_t retrieval_dijkstra = 0;      // queries on the baseline path
+  int64_t retrieval_candidates = 0;    // candidates returned in total
   double retrieval_seconds = 0;        // wall time in retrieval
   double retrieval_mean_candidates = 0;   // mean |C_i| per query
   double retrieval_p99_candidates = 0;    // p99 |C_i| per query
-  double retrieval_screen_prune_ratio = 0;  // screened_out / scanned
 
   /// Why each unserved rider stays unserved, by re-evaluating them against
   /// the final schedules (filled by AttachRejectionReasons; 0 otherwise).

@@ -26,7 +26,7 @@ DispatchDecision EvaluateArrival(const UrrInstance& instance,
   DispatchDecision best;
   const bool need_utility = objective == OnlineObjective::kUtilityGain;
   const std::vector<int> valid =
-      CandidateVehiclesForRider(instance, ctx, sol, rider, nullptr);
+      CandidateVehiclesForRider(instance, ctx, rider, nullptr);
   if (valid.empty()) {
     best.reason = RejectReason::kNoReachableVehicle;
     return best;

@@ -44,7 +44,7 @@ struct DispatchDecision {
 /// Evaluates rider `rider` against every valid vehicle of `sol` under
 /// `objective` and returns the best feasible decision WITHOUT committing it
 /// (first-best wins ties, in ascending-vehicle-id order — the canonical
-/// order both retrieval paths emit). Shared by OnlineDispatcher and the
+/// order retrieval emits). Shared by OnlineDispatcher and the
 /// streaming engine's W=0 path so both make identical choices.
 DispatchDecision EvaluateArrival(const UrrInstance& instance,
                                  SolverContext* ctx, const UrrSolution& sol,

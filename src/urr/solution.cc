@@ -1,11 +1,11 @@
 #include "urr/solution.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/scratch.h"
 #include "common/stopwatch.h"
-#include "spatial/st_index.h"
 #include "urr/eval_cache.h"
 
 namespace urr {
@@ -84,64 +84,11 @@ UrrSolution MakeEmptySolution(const UrrInstance& instance,
 
 namespace {
 
-/// Core of the legacy copy-based EvaluateInsertion on a schedule whose
-/// oracle is safe to query from the calling thread. Uses the copy-based
-/// kernel throughout, so this path is the genuine baseline the zero-copy
-/// kernel is differential-tested (and benchmarked) against.
-CandidateEval EvaluateInsertionOn(const UrrInstance& instance,
-                                  const UtilityModel& model,
-                                  const TransferSequence& seq, RiderId i, int j,
-                                  bool need_utility) {
-  CandidateEval eval;
-  Result<InsertionPlan> plan =
-      FindBestInsertionCopy(seq, instance.Trip(i), &eval.capacity_blocked);
-  if (!plan.ok()) return eval;
-  eval.feasible = true;
-  eval.plan = *plan;
-  eval.delta_cost = plan->delta_cost;
-  if (need_utility) {
-    TransferSequence trial = seq;
-    if (!ApplyInsertion(&trial, instance.Trip(i), *plan).ok()) {
-      eval.feasible = false;
-      return eval;
-    }
-    eval.delta_utility =
-        model.ScheduleUtility(j, trial) - model.ScheduleUtility(j, seq);
-  }
-  return eval;
-}
-
-/// Zero-copy evaluation: the schedule is read through a ScheduleView (with
-/// the oracle re-pointed as a view field instead of cloning the schedule),
-/// the scratch kernel finds the plan, and the utility delta is computed on
-/// a scratch-built trial view. Every arithmetic step mirrors the copy path
-/// bit-for-bit; `screen` additionally elides provably futile oracle queries
-/// without changing any result.
-CandidateEval EvaluateInsertionZeroCopy(const UtilityModel& model,
-                                        const TransferSequence& seq, int j,
-                                        const RiderTrip& trip,
-                                        bool need_utility,
-                                        DistanceOracle* eval_oracle,
-                                        const InsertionScreen* screen,
-                                        InsertionScratch* scratch) {
-  ScheduleView view = seq.View();
-  if (eval_oracle != nullptr) view.oracle = eval_oracle;
-  CandidateEval eval;
-  Result<InsertionPlan> plan = FindBestInsertionScratch(
-      view, trip, &eval.capacity_blocked, screen, scratch);
-  if (!plan.ok()) return eval;
-  eval.feasible = true;
-  eval.plan = *plan;
-  eval.delta_cost = plan->delta_cost;
-  if (need_utility) {
-    const ScheduleView trial = BuildTrialView(view, trip, *plan, scratch);
-    eval.delta_utility =
-        model.ScheduleUtility(j, trial) - model.ScheduleUtility(j, view);
-  }
-  return eval;
-}
-
-/// Kernel dispatch honoring the context toggles (no cache involvement).
+/// One kernel run, no cache involvement: Algorithm 1 on the scratch kernel
+/// reading the schedule through a ScheduleView (a worker's oracle is
+/// re-pointed as a view field instead of copying the schedule), screened by
+/// the context's Euclidean bound, with Δμ computed on a scratch-built trial
+/// view.
 CandidateEval EvaluateWithContext(const UrrInstance& instance,
                                   const SolverContext* ctx,
                                   const UrrSolution& sol, RiderId i, int j,
@@ -150,19 +97,26 @@ CandidateEval EvaluateWithContext(const UrrInstance& instance,
   if (ctx->counters != nullptr) {
     ctx->counters->kernel_evals.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!ctx->zero_copy_kernel) {
-    return EvaluateInsertion(instance, *ctx->model, sol, i, j, need_utility,
-                             eval_oracle);
-  }
-  InsertionScreen screen{instance.network, ctx->euclid_speed};
-  const InsertionScreen* scr =
-      ctx->bound_screening && screen.enabled() ? &screen : nullptr;
+  ScheduleView view = sol.schedules[static_cast<size_t>(j)].View();
+  if (eval_oracle != nullptr) view.oracle = eval_oracle;
+  const RiderTrip trip = instance.Trip(i);
+  const InsertionScreen screen{instance.network, ctx->euclid_speed};
   InsertionScratch& scratch = ThreadLocalScratch<InsertionScratch>();
   const uint64_t elided0 = scratch.elided_queries;
   const uint64_t screened0 = scratch.screened_pairs;
-  CandidateEval eval = EvaluateInsertionZeroCopy(
-      *ctx->model, sol.schedules[static_cast<size_t>(j)], j,
-      instance.Trip(i), need_utility, eval_oracle, scr, &scratch);
+  CandidateEval eval;
+  Result<InsertionPlan> plan = FindBestInsertionScratch(
+      view, trip, &eval.capacity_blocked, &screen, &scratch);
+  if (plan.ok()) {
+    eval.feasible = true;
+    eval.plan = *plan;
+    eval.delta_cost = plan->delta_cost;
+    if (need_utility) {
+      const ScheduleView trial = BuildTrialView(view, trip, *plan, &scratch);
+      eval.delta_utility = ctx->model->ScheduleUtility(j, trial) -
+                           ctx->model->ScheduleUtility(j, view);
+    }
+  }
   if (ctx->counters != nullptr) {
     ctx->counters->elided_queries.fetch_add(
         scratch.elided_queries - elided0, std::memory_order_relaxed);
@@ -171,10 +125,6 @@ CandidateEval EvaluateWithContext(const UrrInstance& instance,
   }
   return eval;
 }
-
-}  // namespace
-
-namespace {
 
 uint64_t PairKey(NodeId u, NodeId v) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
@@ -306,22 +256,6 @@ bool PrefetchWaveDistances(const UrrInstance& instance, const UrrSolution& sol,
 
 }  // namespace
 
-CandidateEval EvaluateInsertion(const UrrInstance& instance,
-                                const UtilityModel& model,
-                                const UrrSolution& sol, RiderId i, int j,
-                                bool need_utility, DistanceOracle* eval_oracle) {
-  const TransferSequence& seq = sol.schedules[static_cast<size_t>(j)];
-  if (eval_oracle == nullptr || eval_oracle == seq.oracle()) {
-    return EvaluateInsertionOn(instance, model, seq, i, j, need_utility);
-  }
-  // Worker thread: evaluate a copy re-pointed at the worker's oracle, so
-  // the shared oracle is never queried here. Distances (and therefore the
-  // result) are identical by the Clone contract.
-  TransferSequence local = seq;
-  local.set_oracle(eval_oracle);
-  return EvaluateInsertionOn(instance, model, local, i, j, need_utility);
-}
-
 CandidateEval EvaluateCandidate(const UrrInstance& instance,
                                 const SolverContext* ctx,
                                 const UrrSolution& sol, RiderId i, int j,
@@ -397,8 +331,7 @@ std::vector<CandidateEval> EvaluateCandidates(
   std::vector<PrefetchedOracle> prefetched;
   bool use_table = false;
   DistanceOracle* caller = ctx->worker_oracle(ThreadPool::CurrentWorker());
-  if (ctx->batch_eval && !todo.empty() && caller != nullptr &&
-      caller->SupportsBatch()) {
+  if (!todo.empty() && caller != nullptr && caller->SupportsBatch()) {
     use_table = PrefetchWaveDistances(instance, sol, todo, caller, &table);
   }
   if (use_table) {
@@ -474,133 +407,51 @@ std::vector<int> ValidVehiclesForRider(const UrrInstance& instance,
     }
     out.push_back(v.vehicle);
   }
-  // Canonical order: the reverse Dijkstra settles by distance (heap ties
-  // unspecified), the ST index emits by id. Sorting here makes downstream
-  // tie-breaks identical no matter which retrieval path produced the list.
+  // Canonical order: the reverse Dijkstra settles by distance with
+  // unspecified heap ties, so downstream tie-breaks see ascending ids.
   std::sort(out.begin(), out.end());
   return out;
 }
 
-namespace {
-
-// Appends the final candidate-set sizes and the elapsed retrieval time to
-// `stats`. Called from serial sections only (per_rider_candidates is plain).
-void RecordRetrieval(RetrievalStats* stats,
-                     const std::vector<std::vector<int>>& out,
-                     double elapsed_seconds) {
-  if (stats == nullptr) return;
-  stats->riders.fetch_add(static_cast<int64_t>(out.size()));
-  int64_t total = 0;
-  for (const std::vector<int>& c : out) {
-    total += static_cast<int64_t>(c.size());
-    stats->per_rider_candidates.push_back(static_cast<int32_t>(c.size()));
-  }
-  stats->confirmed.fetch_add(total);
-  stats->retrieval_nanos.fetch_add(
-      static_cast<int64_t>(elapsed_seconds * 1e9));
+void RetrievalStats::SummarizeCandidates(double* mean, double* p99) const {
+  *mean = 0;
+  *p99 = 0;
+  if (per_rider_candidates.empty()) return;
+  std::vector<int32_t> sorted = per_rider_candidates;
+  std::sort(sorted.begin(), sorted.end());
+  int64_t sum = 0;
+  for (int32_t c : sorted) sum += c;
+  *mean = static_cast<double>(sum) / static_cast<double>(sorted.size());
+  const size_t rank = static_cast<size_t>(
+      std::ceil(0.99 * static_cast<double>(sorted.size())));
+  *p99 = sorted[std::max<size_t>(rank, 1) - 1];
 }
 
-}  // namespace
-
 std::vector<std::vector<int>> CandidateVehiclesForRiders(
-    const UrrInstance& instance, SolverContext* ctx,
-    const UrrSolution& solution, const std::vector<RiderId>& riders,
-    const std::vector<bool>* allowed) {
+    const UrrInstance& instance, const SolverContext* ctx,
+    const std::vector<RiderId>& riders, const std::vector<bool>* allowed) {
   Stopwatch timer;
   std::vector<std::vector<int>> out(riders.size());
-  StIndex* st = ctx->st_index;
-  const bool st_usable = st != nullptr && ctx->st_confirm_oracle != nullptr &&
-                         ctx->euclid_speed > 0 &&
-                         instance.network->has_coords();
-  if (!st_usable) {
-    // Baseline: one bounded reverse Dijkstra per rider. The vehicle
-    // index's engine is stateful, so this stays serial.
-    for (size_t k = 0; k < riders.size(); ++k) {
-      out[k] =
-          ValidVehiclesForRider(instance, ctx->vehicle_index, riders[k], allowed);
-    }
-    if (ctx->retrieval_stats != nullptr) {
-      ctx->retrieval_stats->dijkstra_retrievals.fetch_add(
-          static_cast<int64_t>(riders.size()));
-    }
-    RecordRetrieval(ctx->retrieval_stats, out, timer.ElapsedSeconds());
-    return out;
-  }
-
-  // ST path. Sync is incremental (version + anchor compare per vehicle).
-  st->Sync(*ctx->vehicle_index, solution.schedules, ctx->eval_epoch);
-
-  // Phase 1: hash-bucket disc scan + Euclidean screen, independent per
-  // rider and read-only on the index — fan out over the eval pool. Slots
-  // keep rider order, so the result is thread-count-independent.
-  const RoadNetwork& network = *instance.network;
-  std::vector<StIndex::ScreenResult> screens(riders.size());
-  ParallelFor(ctx->eval_pool(), static_cast<int64_t>(riders.size()),
-              [&](int64_t k, int /*worker*/) {
-                const Rider& r =
-                    instance.riders[static_cast<size_t>(riders[k])];
-                const Cost budget = r.pickup_deadline - instance.now;
-                st->ScreenCandidates(network.coord(r.source), budget,
-                                     ctx->euclid_speed, &screens[k]);
-              });
-
-  // Phase 2: exact confirm. The screen survivors are a superset of the
-  // Lemma 3.1 set; one batched clean-network distance query per surviving
-  // *anchor node* (vehicles sharing a node share the answer) recovers
-  // exactly {j : dist(anchor_j, source) <= budget} — the same set (and
-  // comparison) the bounded reverse Dijkstra settles. With the default
-  // caching oracle these pairs are the very (location, source) distances
-  // the evaluation phase consumes next, so the confirm largely pre-pays
-  // work instead of adding it.
-  std::vector<NodeId> us, vs;
-  std::vector<std::pair<size_t, size_t>> pair_owner;  // (rider slot, group)
-  int64_t scanned = 0, screen_survivors = 0;
   for (size_t k = 0; k < riders.size(); ++k) {
-    const Rider& r = instance.riders[static_cast<size_t>(riders[k])];
-    scanned += screens[k].scanned;
-    for (size_t g = 0; g < screens[k].groups.size(); ++g) {
-      screen_survivors +=
-          static_cast<int64_t>(screens[k].groups[g].second->size());
-      us.push_back(screens[k].groups[g].first);
-      vs.push_back(r.source);
-      pair_owner.emplace_back(k, g);
+    out[k] =
+        ValidVehiclesForRider(instance, ctx->vehicle_index, riders[k], allowed);
+  }
+  if (RetrievalStats* stats = ctx->retrieval_stats; stats != nullptr) {
+    const double seconds = timer.ElapsedSeconds();
+    stats->riders.fetch_add(static_cast<int64_t>(out.size()));
+    for (const std::vector<int>& c : out) {
+      stats->candidates.fetch_add(static_cast<int64_t>(c.size()));
+      stats->per_rider_candidates.push_back(static_cast<int32_t>(c.size()));
     }
+    stats->retrieval_nanos.fetch_add(static_cast<int64_t>(seconds * 1e9));
   }
-  std::vector<Cost> dist(us.size(), kInfiniteCost);
-  ctx->st_confirm_oracle->BatchPairwise(us, vs, dist.data());
-  int64_t confirm_rejected = 0;
-  for (size_t p = 0; p < pair_owner.size(); ++p) {
-    const auto [k, g] = pair_owner[p];
-    const Rider& r = instance.riders[static_cast<size_t>(riders[k])];
-    const Cost budget = r.pickup_deadline - instance.now;
-    const std::vector<int>& vehicles = *screens[k].groups[g].second;
-    if (dist[p] <= budget) {
-      for (int j : vehicles) {
-        if (allowed != nullptr && !(*allowed)[static_cast<size_t>(j)]) continue;
-        out[k].push_back(j);
-      }
-    } else {
-      confirm_rejected += static_cast<int64_t>(vehicles.size());
-    }
-  }
-  // Canonical ascending-id order (groups arrive in cell-scan order).
-  for (std::vector<int>& c : out) std::sort(c.begin(), c.end());
-  if (ctx->retrieval_stats != nullptr) {
-    ctx->retrieval_stats->scanned.fetch_add(scanned);
-    ctx->retrieval_stats->screened_out.fetch_add(scanned - screen_survivors);
-    ctx->retrieval_stats->confirm_rejected.fetch_add(confirm_rejected);
-  }
-  RecordRetrieval(ctx->retrieval_stats, out, timer.ElapsedSeconds());
   return out;
 }
 
 std::vector<int> CandidateVehiclesForRider(const UrrInstance& instance,
-                                           SolverContext* ctx,
-                                           const UrrSolution& solution,
-                                           RiderId i,
+                                           const SolverContext* ctx, RiderId i,
                                            const std::vector<bool>* allowed) {
-  return CandidateVehiclesForRiders(instance, ctx, solution, {i}, allowed)
-      .front();
+  return CandidateVehiclesForRiders(instance, ctx, {i}, allowed).front();
 }
 
 std::vector<int> GroupCandidatesForRider(const UrrInstance& instance,

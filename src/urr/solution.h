@@ -5,6 +5,8 @@
 #define URR_URR_SOLUTION_H_
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,8 +23,20 @@ namespace urr {
 
 class EvalCache;        // urr/eval_cache.h
 struct EvalCounters;    // urr/eval_cache.h
-class StIndex;          // spatial/st_index.h
-struct RetrievalStats;  // spatial/st_index.h
+
+/// Counters of the candidate-retrieval phase (CandidateVehiclesForRiders).
+/// Recorded from the retrieving thread only; the atomics let a caller read
+/// per-window deltas while a solve runs.
+struct RetrievalStats {
+  std::atomic<int64_t> riders{0};           // retrieval queries answered
+  std::atomic<int64_t> candidates{0};       // candidates returned in total
+  std::atomic<int64_t> retrieval_nanos{0};  // wall time in retrieval
+  std::vector<int32_t> per_rider_candidates;  // set size per query
+
+  /// Mean and nearest-rank p99 of per_rider_candidates; both 0 before the
+  /// first query.
+  void SummarizeCandidates(double* mean, double* p99) const;
+};
 
 /// A (partial) solution to a URR instance.
 struct UrrSolution {
@@ -61,9 +75,11 @@ struct SolverContext {
   VehicleIndex* vehicle_index = nullptr;
   Rng* rng = nullptr;
   /// Network max speed (Euclidean units per cost unit, RoadNetwork::
-  /// MaxSpeed()). When > 0, pairwise candidate checks first apply the
-  /// admissible lower bound euclid(u,v)/euclid_speed <= budget before any
-  /// exact shortest-path query — the paper's spatial-index prefilter.
+  /// MaxSpeed()). When > 0 and the network has coordinates, the insertion
+  /// kernel and GroupCandidatesForRider apply the admissible lower bound
+  /// euclid(u,v)/euclid_speed before exact shortest-path queries — the
+  /// paper's spatial-index prefilter. The bound only elides queries whose
+  /// outcome it decides, so results are identical with 0 (no bound).
   double euclid_speed = 0;
   /// Optional worker pool for the read-only candidate-evaluation phase.
   /// nullptr (the default) keeps every solver fully serial. Results are
@@ -75,20 +91,6 @@ struct SolverContext {
   /// the set doesn't cover every worker the solvers silently stay serial,
   /// so a non-cloneable oracle can never race.
   std::shared_ptr<WorkerOracleSet> worker_set;
-  /// When true and the oracle reports SupportsBatch(), candidate-evaluation
-  /// waves predict their distance footprint and fetch it with a few
-  /// many-to-many batches up front instead of thousands of scalar queries.
-  /// Values are identical either way, so this is purely a throughput knob.
-  bool batch_eval = true;
-  /// Use the zero-copy scratch kernel for candidate evaluation (default).
-  /// false falls back to the legacy copy-based kernel; results are
-  /// bit-identical either way (differential-tested).
-  bool zero_copy_kernel = true;
-  /// Apply Euclidean lower-bound screening inside the insertion kernel
-  /// (requires euclid_speed > 0 and network coordinates). Screening only
-  /// elides oracle queries whose outcome the bound already decides, so
-  /// results are bit-identical on/off.
-  bool bound_screening = true;
   /// Optional (rider, vehicle, schedule-version) evaluation cache shared
   /// across solver calls — the engine attaches one so unchanged vehicles
   /// are not re-evaluated every window. Borrowed; nullptr disables.
@@ -99,19 +101,7 @@ struct SolverContext {
   uint64_t eval_epoch = 0;
   /// Optional evaluation-path counters (hits/misses/screens). Borrowed.
   EvalCounters* counters = nullptr;
-  /// Optional spatio-temporal candidate index. When set (together with
-  /// st_confirm_oracle, euclid_speed > 0 and network coordinates),
-  /// CandidateVehiclesForRiders answers retrieval from hash buckets + a
-  /// batched exact confirm instead of per-rider reverse Dijkstra. The
-  /// resulting candidate sets are identical. Borrowed; nullptr disables.
-  StIndex* st_index = nullptr;
-  /// Clean-network oracle for the ST-index exact-confirm stage. Must answer
-  /// the same distances as the vehicle index's internal Dijkstra (i.e. no
-  /// disruption overlay — the baseline prefilter always measures the clean
-  /// network). Borrowed.
-  DistanceOracle* st_confirm_oracle = nullptr;
-  /// Optional retrieval-phase counters, recorded on both the ST-index and
-  /// reverse-Dijkstra paths. Borrowed; nullptr disables.
+  /// Optional retrieval-phase counters. Borrowed; nullptr disables.
   RetrievalStats* retrieval_stats = nullptr;
 
   /// The pool to actually fan out on: `pool` when the worker set covers
@@ -159,38 +149,29 @@ struct CandidateEval {
   Cost delta_cost = kInfiniteCost;
 };
 
-/// Evaluates the best insertion of rider `i` into vehicle `j`'s schedule in
-/// `sol` (Algorithm 1 + full utility delta). Does not mutate anything.
-/// `need_utility=false` skips the Δμ computation (the CF baseline only
-/// needs Δcost, which is what makes it the cheapest method).
-/// `eval_oracle`, when non-null and different from the schedule's own
-/// oracle, is used for every distance query of this evaluation (the
-/// schedule is copied and re-pointed) — this is how worker threads evaluate
-/// candidates without touching the shared oracle. Same values either way.
-CandidateEval EvaluateInsertion(const UrrInstance& instance,
-                                const UtilityModel& model,
-                                const UrrSolution& sol, RiderId i, int j,
-                                bool need_utility = true,
-                                DistanceOracle* eval_oracle = nullptr);
-
 /// One rider-vehicle candidate pair of a batch evaluation.
 struct RiderVehiclePair {
   RiderId rider = -1;
   int vehicle = -1;
 };
 
-/// Context-aware single-pair evaluation: consults ctx->eval_cache (keyed by
-/// the schedule's version), then runs the kernel selected by
-/// ctx->zero_copy_kernel with ctx->bound_screening applied, updating
-/// ctx->counters. Results are bit-identical to EvaluateInsertion for every
-/// toggle combination. This is the entry point all solvers use.
+/// Evaluates the best insertion of rider `i` into vehicle `j`'s schedule in
+/// `sol` (Algorithm 1 + full utility delta) — the entry point all solvers
+/// use. Does not mutate anything. Consults ctx->eval_cache (keyed by the
+/// schedule's version), then runs the zero-copy kernel with the
+/// ctx->euclid_speed screen, updating ctx->counters; the result is the same
+/// with or without cache and screen. `need_utility=false` skips the Δμ
+/// computation (the CF baseline only needs Δcost, which is what makes it
+/// the cheapest method). `eval_oracle`, when non-null, answers every
+/// distance query of this evaluation — this is how worker threads evaluate
+/// candidates without touching the shared oracle. Same values either way.
 CandidateEval EvaluateCandidate(const UrrInstance& instance,
                                 const SolverContext* ctx,
                                 const UrrSolution& sol, RiderId i, int j,
                                 bool need_utility,
                                 DistanceOracle* eval_oracle = nullptr);
 
-/// Evaluates EvaluateInsertion over every pair, fanning out on
+/// Evaluates EvaluateCandidate over every pair, fanning out on
 /// ctx->eval_pool() when available. Output slot k always corresponds to
 /// pairs[k] and holds exactly what a serial loop would have produced, so
 /// callers that consume the results in index order are bit-identical to
@@ -215,32 +196,22 @@ struct GroupFilter {
 /// can reach s_i before rt⁻_i (Lemma 3.1 a+b as a prefilter), computed with
 /// one bounded reverse Dijkstra per rider via the vehicle index. When
 /// `allowed` is non-null, results are restricted to that vehicle subset.
-/// Ascending vehicle id — the canonical candidate order every retrieval
-/// path emits, so downstream tie-breaks are path-independent.
+/// Ascending vehicle id — the canonical candidate order, so downstream
+/// tie-breaks do not depend on the Dijkstra heap's tie order.
 std::vector<int> ValidVehiclesForRider(const UrrInstance& instance,
                                        VehicleIndex* index, RiderId i,
                                        const std::vector<bool>* allowed);
 
-/// Batch candidate retrieval for `riders`: out[k] is the exact
-/// ValidVehiclesForRider set for riders[k], ascending vehicle id. When the
-/// context carries an ST index (st_index + st_confirm_oracle, with
-/// euclid_speed > 0 and network coordinates) the per-rider reverse
-/// Dijkstras are replaced by hash-bucket disc scans — parallelized over
-/// ctx->eval_pool() — plus one batched exact distance confirm on the
-/// calling thread; otherwise it falls back to the serial Dijkstra path.
-/// Both paths return identical sets (differential-tested) and record into
-/// ctx->retrieval_stats. `solution` supplies the live schedules the ST
-/// index syncs against.
+/// Batch candidate retrieval for `riders` through ctx->vehicle_index: out[k]
+/// is the ValidVehiclesForRider set for riders[k]. Serial (the index's
+/// Dijkstra engine is stateful); records into ctx->retrieval_stats.
 std::vector<std::vector<int>> CandidateVehiclesForRiders(
-    const UrrInstance& instance, SolverContext* ctx,
-    const UrrSolution& solution, const std::vector<RiderId>& riders,
-    const std::vector<bool>* allowed);
+    const UrrInstance& instance, const SolverContext* ctx,
+    const std::vector<RiderId>& riders, const std::vector<bool>* allowed);
 
 /// Single-rider convenience wrapper over CandidateVehiclesForRiders.
 std::vector<int> CandidateVehiclesForRider(const UrrInstance& instance,
-                                           SolverContext* ctx,
-                                           const UrrSolution& solution,
-                                           RiderId i,
+                                           const SolverContext* ctx, RiderId i,
                                            const std::vector<bool>* allowed);
 
 /// Group-mode candidate list for rider `i` over `vehicles`: O(1) per

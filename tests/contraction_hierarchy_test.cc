@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
-#include "routing/bidirectional.h"
 #include "routing/dijkstra.h"
 
 namespace urr {
@@ -270,32 +269,6 @@ TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
       ExpectDistanceEq(query.Distance(s, targets[j]), want[j], s, targets[j]);
     }
   }
-}
-
-TEST(BidirectionalTest, MatchesDijkstra) {
-  Rng rng(44);
-  GridCityOptions opt;
-  opt.width = 16;
-  opt.height = 12;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidi(*g);
-  DijkstraEngine ref(*g);
-  for (int trial = 0; trial < 300; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    EXPECT_NEAR(bidi.Distance(s, t), ref.Distance(s, t), 1e-6);
-  }
-}
-
-TEST(BidirectionalTest, UnreachableAndIdentity) {
-  auto g = RoadNetwork::Build(3, {{0, 1, 2}});
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidi(*g);
-  EXPECT_DOUBLE_EQ(bidi.Distance(0, 0), 0);
-  EXPECT_DOUBLE_EQ(bidi.Distance(0, 1), 2);
-  EXPECT_EQ(bidi.Distance(1, 0), kInfiniteCost);
-  EXPECT_EQ(bidi.Distance(0, 2), kInfiniteCost);
 }
 
 }  // namespace

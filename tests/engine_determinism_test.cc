@@ -72,11 +72,12 @@ TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// Contract 4: the evaluation-path features — cross-window eval cache,
-// zero-copy kernel, bound screening — are pure optimizations. Toggling any
-// of them off must leave the event log and the final fleet state
-// byte-identical, at 1, 2 and 8 threads, and the cache must actually
-// score hits across windows when enabled.
+// Contract 4: the evaluation-path features — cross-window eval cache and
+// the Euclidean bound (euclid_speed = MaxSpeed() vs 0, i.e. no bound
+// anywhere) — are pure optimizations. Toggling either off must leave the
+// event log and the final fleet state byte-identical, at 1, 2 and 8
+// threads, and the cache must actually score hits across windows when
+// enabled.
 TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossEvalToggles) {
   for (WindowSolver solver :
        {WindowSolver::kEfficientGreedy, WindowSolver::kBilateral}) {
@@ -92,24 +93,21 @@ TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossEvalToggles) {
       const StreamingWorkload workload =
           MakeStreamingWorkload((*world)->instance, opt, &rng);
       struct Toggle {
-        bool cache, zero_copy, screen;
+        bool cache, screen;
       };
-      for (const Toggle& t : {Toggle{false, false, false},
-                              Toggle{true, false, false},
-                              Toggle{false, true, true},
-                              Toggle{true, true, true}}) {
+      for (const Toggle& t : {Toggle{false, false}, Toggle{true, false},
+                              Toggle{false, true}, Toggle{true, true}}) {
         SCOPED_TRACE(std::string(WindowSolverName(solver)) + " threads=" +
                      std::to_string(threads) + " cache=" +
-                     std::to_string(t.cache) + " zc=" +
-                     std::to_string(t.zero_copy) + " screen=" +
+                     std::to_string(t.cache) + " screen=" +
                      std::to_string(t.screen));
         UtilityModel model(
             &workload.instance,
             UtilityParams{(*world)->config.alpha, (*world)->config.beta});
         SolverContext ctx = (*world)->Context();
         ctx.model = &model;
-        ctx.zero_copy_kernel = t.zero_copy;
-        ctx.bound_screening = t.screen;
+        if (!t.screen) ctx.euclid_speed = 0;
+        ASSERT_EQ(ctx.euclid_speed > 0, t.screen);
         EngineConfig cfg;
         cfg.window = 20;
         cfg.solver = solver;

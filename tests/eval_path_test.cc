@@ -1,10 +1,10 @@
 // Evaluation-path contract suite for the zero-copy kernel, the
 // cross-window eval cache and bound screening:
-//   1. FindBestInsertionScratch (with and without screening) is
-//      bit-identical to the legacy copy kernel and agrees with brute force,
+//   1. FindBestInsertionScratch (with and without screening) agrees with
+//      brute force on plan, Δcost and feasibility,
 //   2. BuildTrialView reproduces the applied schedule field for field,
 //   3. the steady-state EvaluateCandidates path makes zero TransferSequence
-//      copies, while the legacy kernel provably does copy,
+//      copies and matches an apply-on-a-copy reference for Δcost and Δμ,
 //   4. schedule versions stamp exactly the observable mutations, which is
 //      what makes (rider, vehicle, version) a safe cache key,
 //   5. EvalCache lookup/store need_utility semantics,
@@ -21,10 +21,10 @@ namespace urr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 1 + 2: scratch-vs-copy differential on random city schedules.
+// 1 + 2: scratch kernel vs brute force on random city schedules.
 // ---------------------------------------------------------------------------
 
-TEST(EvalPathTest, ScratchKernelMatchesCopyKernelBitForBit) {
+TEST(EvalPathTest, ScratchKernelMatchesBruteForce) {
   InsertionScratch plain_scratch;
   InsertionScratch screened_scratch;
   InsertionScratch trial_scratch;
@@ -71,10 +71,8 @@ TEST(EvalPathTest, ScratchKernelMatchesCopyKernelBitForBit) {
       trip.dropoff_deadline =
           trip.pickup_deadline + direct * rng.Uniform(1.1, 2.0);
 
-      bool cb_copy = false;
       bool cb_plain = false;
       bool cb_screened = false;
-      const auto copy = FindBestInsertionCopy(seq, trip, &cb_copy);
       const ScheduleView view = seq.View();
       const uint64_t pq0 = plain_scratch.oracle_queries;
       const auto plain = FindBestInsertionScratch(view, trip, &cb_plain,
@@ -87,22 +85,18 @@ TEST(EvalPathTest, ScratchKernelMatchesCopyKernelBitForBit) {
       screened_queries += screened_scratch.oracle_queries - sq0;
       total_elided += screened_scratch.elided_queries - el0;
 
-      // The three kernels must agree on everything observable.
-      ASSERT_EQ(copy.ok(), plain.ok()) << "trial " << trial;
-      ASSERT_EQ(copy.ok(), screened.ok()) << "trial " << trial;
-      EXPECT_EQ(cb_copy, cb_plain) << "trial " << trial;
-      EXPECT_EQ(cb_copy, cb_screened) << "trial " << trial;
+      // Screening elides queries only: both runs agree on everything
+      // observable, and on feasibility and cost with brute force.
+      ASSERT_EQ(plain.ok(), screened.ok()) << "trial " << trial;
+      EXPECT_EQ(cb_plain, cb_screened) << "trial " << trial;
       const auto brute = FindBestInsertionBruteForce(seq, trip);
-      ASSERT_EQ(copy.ok(), brute.ok()) << "trial " << trial;
-      if (!copy.ok()) continue;
+      ASSERT_EQ(plain.ok(), brute.ok()) << "trial " << trial;
+      if (!plain.ok()) continue;
       ++feasible_cases;
-      EXPECT_EQ(plain->pickup_pos, copy->pickup_pos);
-      EXPECT_EQ(plain->dropoff_pos, copy->dropoff_pos);
-      EXPECT_EQ(plain->delta_cost, copy->delta_cost);  // bit-identical
-      EXPECT_EQ(screened->pickup_pos, copy->pickup_pos);
-      EXPECT_EQ(screened->dropoff_pos, copy->dropoff_pos);
-      EXPECT_EQ(screened->delta_cost, copy->delta_cost);
-      EXPECT_NEAR(copy->delta_cost, brute->delta_cost, 1e-6);
+      EXPECT_EQ(screened->pickup_pos, plain->pickup_pos);
+      EXPECT_EQ(screened->dropoff_pos, plain->dropoff_pos);
+      EXPECT_EQ(screened->delta_cost, plain->delta_cost);  // bit-identical
+      EXPECT_NEAR(plain->delta_cost, brute->delta_cost, 1e-6);
 
       // BuildTrialView's derived fields must equal the applied schedule's.
       const ScheduleView tv = BuildTrialView(view, trip, *plain,
@@ -191,25 +185,25 @@ TEST_F(EvalPathFixture, SteadyStateEvaluationMakesZeroCopies) {
   EXPECT_EQ(TransferSequence::CopyCount(), before)
       << "zero-copy path cloned a schedule";
   ASSERT_EQ(evals.size(), 2u);
-  EXPECT_TRUE(evals[0].feasible);
-  EXPECT_TRUE(evals[1].feasible);
   EXPECT_EQ(counters.kernel_evals.load(), 2u);
 
-  // The legacy kernel really is the copying baseline: same values, copies.
-  EvalCounters legacy_counters;
-  SolverContext legacy = Context();
-  legacy.counters = &legacy_counters;
-  legacy.zero_copy_kernel = false;
-  const auto legacy_evals =
-      EvaluateCandidates(instance_, &legacy, sol, pairs, true);
-  EXPECT_GT(TransferSequence::CopyCount(), before);
-  ASSERT_EQ(legacy_evals.size(), evals.size());
-  for (size_t k = 0; k < evals.size(); ++k) {
-    EXPECT_EQ(legacy_evals[k].feasible, evals[k].feasible);
-    EXPECT_EQ(legacy_evals[k].plan.pickup_pos, evals[k].plan.pickup_pos);
-    EXPECT_EQ(legacy_evals[k].plan.dropoff_pos, evals[k].plan.dropoff_pos);
-    EXPECT_EQ(legacy_evals[k].delta_cost, evals[k].delta_cost);
-    EXPECT_EQ(legacy_evals[k].delta_utility, evals[k].delta_utility);
+  // Reference: the brute-force plan, and Δμ as the schedule-utility
+  // difference after applying the plan to a copy.
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    const TransferSequence& seq =
+        sol.schedules[static_cast<size_t>(pairs[k].vehicle)];
+    const RiderTrip trip = instance_.Trip(pairs[k].rider);
+    const auto brute = FindBestInsertionBruteForce(seq, trip);
+    ASSERT_TRUE(brute.ok());
+    ASSERT_TRUE(evals[k].feasible);
+    EXPECT_EQ(evals[k].plan.pickup_pos, brute->pickup_pos);
+    EXPECT_EQ(evals[k].plan.dropoff_pos, brute->dropoff_pos);
+    EXPECT_NEAR(evals[k].delta_cost, brute->delta_cost, 1e-9);
+    TransferSequence trial = seq;
+    ASSERT_TRUE(ApplyInsertion(&trial, trip, evals[k].plan).ok());
+    EXPECT_EQ(evals[k].delta_utility,
+              model_->ScheduleUtility(pairs[k].vehicle, trial) -
+                  model_->ScheduleUtility(pairs[k].vehicle, seq));
   }
 }
 

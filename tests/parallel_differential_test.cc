@@ -258,12 +258,11 @@ std::unique_ptr<GridWorld> MakeGridWorld(uint64_t seed, int riders,
   return w;
 }
 
-/// Evaluation-path feature switches for the toggle-matrix contracts. All
-/// three are pure optimizations: any combination must give the same bits.
+/// Evaluation-path feature switches for the toggle-matrix contracts. Both
+/// are pure optimizations: any combination must give the same bits.
 struct EvalToggles {
-  bool zero_copy = true;
-  bool screening = true;
-  bool cache = false;  // an EvalCache is attached when true
+  bool screening = true;  // euclid_speed = MaxSpeed(); false sets it to 0
+  bool cache = false;     // an EvalCache is attached when true
 };
 
 std::string RunOnGrid(uint64_t seed, int riders, int vehicles, int capacity,
@@ -276,9 +275,7 @@ std::string RunOnGrid(uint64_t seed, int riders, int vehicles, int capacity,
   ctx.model = w->model.get();
   ctx.vehicle_index = w->index.get();
   ctx.rng = &w->rng;
-  ctx.euclid_speed = w->network.MaxSpeed();
-  ctx.zero_copy_kernel = toggles.zero_copy;
-  ctx.bound_screening = toggles.screening;
+  ctx.euclid_speed = toggles.screening ? w->network.MaxSpeed() : 0;
   EvalCache cache;
   EvalCounters counters;
   if (toggles.cache) ctx.eval_cache = &cache;
@@ -330,26 +327,26 @@ TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The tentpole's exactness contract for the evaluation path: the zero-copy
-// scratch kernel, the Euclidean bound screening and the (rider, vehicle,
-// version) eval cache — individually and combined — give byte-identical
-// solutions to the copy-based, unscreened, uncached baseline at 1, 2 and 8
+// The exactness contract for the evaluation path: the Euclidean bound
+// (kernel screening and group filtering) and the (rider, vehicle, version)
+// eval cache — individually and combined — give byte-identical solutions
+// to the unbounded (euclid_speed = 0), uncached baseline at 1, 2 and 8
 // threads, for every solver.
 TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossEvalToggles) {
   const uint64_t seed = 11;
   const int riders = 60, vehicles = 12, capacity = 3;
   const Cost lo = 200, hi = 2000;
   const std::vector<EvalToggles> matrix = {
-      {/*zero_copy=*/true, /*screening=*/false, /*cache=*/false},
-      {/*zero_copy=*/false, /*screening=*/true, /*cache=*/false},
-      {/*zero_copy=*/false, /*screening=*/false, /*cache=*/true},
-      {/*zero_copy=*/true, /*screening=*/true, /*cache=*/true},
+      {/*screening=*/false, /*cache=*/false},
+      {/*screening=*/true, /*cache=*/false},
+      {/*screening=*/false, /*cache=*/true},
+      {/*screening=*/true, /*cache=*/true},
   };
   for (Variant v : AllVariants()) {
     SCOPED_TRACE(VariantName(v));
     const std::string baseline =
         RunOnGrid(seed, riders, vehicles, capacity, lo, hi, v, 1,
-                  {/*zero_copy=*/false, /*screening=*/false, /*cache=*/false});
+                  {/*screening=*/false, /*cache=*/false});
     ASSERT_FALSE(baseline.empty());
     for (size_t m = 0; m < matrix.size(); ++m) {
       for (int threads : {1, 2, 8}) {

@@ -27,6 +27,13 @@ class SolutionTest : public ::testing::Test {
     model_ = std::make_unique<UtilityModel>(&instance_, UtilityParams{0, 0});
   }
 
+  SolverContext Context(const UtilityModel* model) {
+    SolverContext ctx;
+    ctx.oracle = oracle_.get();
+    ctx.model = model;
+    return ctx;
+  }
+
   UrrInstance instance_;
   std::unique_ptr<RoadNetwork> network_;
   std::unique_ptr<DijkstraOracle> oracle_;
@@ -74,8 +81,9 @@ TEST_F(SolutionTest, ValidateCatchesMissingSchedule) {
 
 TEST_F(SolutionTest, EvaluateInsertionFeasible) {
   UrrSolution sol = MakeEmptySolution(instance_, oracle_.get());
-  const CandidateEval eval =
-      EvaluateInsertion(instance_, *model_, sol, 0, 0);
+  const SolverContext ctx = Context(model_.get());
+  const CandidateEval eval = EvaluateCandidate(instance_, &ctx, sol, 0, 0,
+                                               /*need_utility=*/true);
   ASSERT_TRUE(eval.feasible);
   EXPECT_DOUBLE_EQ(eval.delta_cost, 30);
   EXPECT_NEAR(eval.delta_utility, 1.0, 1e-9);  // new rider at σ = 1
@@ -86,12 +94,14 @@ TEST_F(SolutionTest, EvaluateInsertionInfeasible) {
   tight.riders[0].pickup_deadline = 5;  // vehicle 0 needs 10 to reach node 1
   UrrSolution sol = MakeEmptySolution(tight, oracle_.get());
   UtilityModel model(&tight, UtilityParams{0, 0});
-  EXPECT_FALSE(EvaluateInsertion(tight, model, sol, 0, 0).feasible);
+  const SolverContext ctx = Context(&model);
+  EXPECT_FALSE(EvaluateCandidate(tight, &ctx, sol, 0, 0, true).feasible);
 }
 
 TEST_F(SolutionTest, EvaluateInsertionSkipUtility) {
   UrrSolution sol = MakeEmptySolution(instance_, oracle_.get());
-  const CandidateEval eval = EvaluateInsertion(instance_, *model_, sol, 0, 0,
+  const SolverContext ctx = Context(model_.get());
+  const CandidateEval eval = EvaluateCandidate(instance_, &ctx, sol, 0, 0,
                                                /*need_utility=*/false);
   ASSERT_TRUE(eval.feasible);
   EXPECT_DOUBLE_EQ(eval.delta_utility, 0.0);  // not computed
@@ -116,6 +126,34 @@ TEST_F(SolutionTest, ValidVehiclesRespectsAllowedMask) {
   std::vector<bool> allowed = {false, true};
   auto valid = ValidVehiclesForRider(instance_, &index, 0, &allowed);
   EXPECT_EQ(valid, (std::vector<int>{1}));
+}
+
+TEST_F(SolutionTest, BatchRetrievalMatchesPerRiderAndRecordsStats) {
+  VehicleIndex index(*network_, {0, 5});
+  instance_.riders[0].pickup_deadline = 15;   // vehicle 0 only
+  instance_.riders[1].pickup_deadline = 100;  // both vehicles
+  RetrievalStats stats;
+  SolverContext ctx = Context(model_.get());
+  ctx.vehicle_index = &index;
+  ctx.retrieval_stats = &stats;
+  const auto lists = CandidateVehiclesForRiders(instance_, &ctx, {0, 1}, nullptr);
+  ASSERT_EQ(lists.size(), 2u);
+  EXPECT_EQ(lists[0], ValidVehiclesForRider(instance_, &index, 0, nullptr));
+  EXPECT_EQ(lists[1], (std::vector<int>{0, 1}));
+  EXPECT_EQ(stats.riders.load(), 2);
+  EXPECT_EQ(stats.candidates.load(), 3);
+  double mean = -1, p99 = -1;
+  stats.SummarizeCandidates(&mean, &p99);
+  EXPECT_DOUBLE_EQ(mean, 1.5);
+  EXPECT_DOUBLE_EQ(p99, 2);
+  EXPECT_EQ(CandidateVehiclesForRider(instance_, &ctx, 0, nullptr),
+            (std::vector<int>{0}));
+  EXPECT_EQ(stats.riders.load(), 3);
+
+  RetrievalStats empty;
+  empty.SummarizeCandidates(&mean, &p99);
+  EXPECT_EQ(mean, 0);
+  EXPECT_EQ(p99, 0);
 }
 
 TEST_F(SolutionTest, ValidVehiclesNegativeBudgetEmpty) {

@@ -24,7 +24,6 @@
 #include "routing/hub_labels.h"
 #include "social/checkins.h"
 #include "social/generators.h"
-#include "spatial/st_index.h"
 #include "trips/instance_builder.h"
 #include "trips/io.h"
 #include "trips/trip_generator.h"
@@ -56,9 +55,6 @@ struct Options {
   std::string out_path;
   bool json = false;  // machine-readable SolutionMetrics instead of the table
   bool use_eval_cache = true;   // --no-eval-cache
-  bool zero_copy = true;        // --no-zero-copy
-  bool screening = true;        // --no-screen
-  bool st_index = false;        // --st-index (or URR_ST_INDEX=1)
   bool help = false;
 };
 
@@ -92,15 +88,7 @@ solver:
   --json                  print SolutionMetrics as one JSON object instead
                           of the human-readable tables
   --no-eval-cache         disable the (rider, vehicle, schedule-version)
-                          evaluation cache
-  --no-zero-copy          evaluate insertions on schedule copies instead of
-                          the zero-copy scratch kernel
-  --no-screen             disable Euclidean lower-bound candidate screening
-                          (all three toggles leave the solution byte-identical)
-  --st-index              answer candidate retrieval from the incremental
-                          spatio-temporal hash index instead of per-rider
-                          reverse Dijkstra (also via URR_ST_INDEX=1; the
-                          candidate sets and solution are identical)
+                          evaluation cache (the solution stays byte-identical)
 
 )");
 }
@@ -151,12 +139,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       opt.json = true;
     } else if (flag == "--no-eval-cache") {
       opt.use_eval_cache = false;
-    } else if (flag == "--no-zero-copy") {
-      opt.zero_copy = false;
-    } else if (flag == "--no-screen") {
-      opt.screening = false;
-    } else if (flag == "--st-index") {
-      opt.st_index = true;
     } else if (flag == "--seed") {
       URR_ASSIGN_OR_RETURN(std::string v, need_value());
       opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
@@ -254,30 +236,14 @@ Status Run(const Options& opt) {
   ctx.rng = &rng;
   ctx.euclid_speed = network.MaxSpeed();
 
-  // --- Evaluation path (cache + kernel + screening; all toggles are pure
-  // optimizations — the solution is byte-identical either way). ----------------
+  // --- Evaluation path (the cache is a pure optimization — the solution is
+  // byte-identical either way) and retrieval counters. --------------------------
   EvalCache eval_cache;
   EvalCounters counters;
+  RetrievalStats retrieval_stats;
   ctx.eval_cache = opt.use_eval_cache ? &eval_cache : nullptr;
   ctx.counters = &counters;
-  ctx.zero_copy_kernel = opt.zero_copy;
-  ctx.bound_screening = opt.screening;
-
-  // --- Candidate retrieval (identical sets on either path). -------------------
-  std::unique_ptr<StIndex> st_index;
-  RetrievalStats retrieval_stats;
   ctx.retrieval_stats = &retrieval_stats;
-  if ((opt.st_index || GetEnvInt("URR_ST_INDEX", 0) != 0) &&
-      network.has_coords()) {
-    Result<StIndex> st = StIndex::Build(network);
-    if (st.ok()) {
-      st_index = std::make_unique<StIndex>(std::move(*st));
-      ctx.st_index = st_index.get();
-      ctx.st_confirm_oracle = &oracle;  // no overlay: the stack is clean
-      std::printf("st-index retrieval enabled (slab %.0fs)\n",
-                  st_index->params().slab_seconds);
-    }
-  }
 
   // --- Evaluation pool (results identical at any thread count). ----------------
   const int threads = opt.threads > 0 ? opt.threads : NumThreads();

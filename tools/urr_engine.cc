@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "common/env.h"
 #include "common/table.h"
 #include "engine/engine.h"
 #include "exp/harness.h"
@@ -53,9 +52,6 @@ struct Options {
   bool windows = false;        // include the per-window array in the JSON
   bool verify_replay = false;  // replay the log and compare
   bool no_eval_cache = false;  // disable the cross-window eval cache
-  bool no_zero_copy = false;   // evaluate on schedule copies
-  bool no_screen = false;      // disable Euclidean bound screening
-  bool st_index = false;       // ST-index candidate retrieval
   // Fault injection (seeded, replayable; all zero = no faults).
   double breakdown_fraction = 0;   // share of vehicles that break down
   double no_show_fraction = 0;     // share of riders absent at pickup
@@ -111,13 +107,9 @@ output:
   --verify-replay         rebuild the input from the log, re-run a fresh
                           engine and require byte-identical log + fleet state
 
-evaluation path (all toggles keep the log and fleet state byte-identical):
-  --no-eval-cache         disable the cross-window evaluation cache
-  --no-zero-copy          evaluate insertions on schedule copies
-  --no-screen             disable Euclidean lower-bound candidate screening
-  --st-index              answer candidate retrieval from the incremental
-                          spatio-temporal hash index instead of per-rider
-                          reverse Dijkstra (also via URR_ST_INDEX=1)
+evaluation path:
+  --no-eval-cache         disable the cross-window evaluation cache (the log
+                          and fleet state stay byte-identical)
 
 fault injection (seeded and replayable; all defaults off):
   --breakdown-fraction F  share of vehicles that break down mid-run
@@ -185,9 +177,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       {"--windows", &opt.windows},
       {"--verify-replay", &opt.verify_replay},
       {"--no-eval-cache", &opt.no_eval_cache},
-      {"--no-zero-copy", &opt.no_zero_copy},
-      {"--no-screen", &opt.no_screen},
-      {"--st-index", &opt.st_index},
       {"--verify-restore", &opt.verify_restore},
       {"--validate-invariants", &opt.validate_invariants},
   };
@@ -337,8 +326,6 @@ Status Run(const Options& opt) {
                      UtilityParams{cfg.alpha, cfg.beta});
   SolverContext ctx = world->Context();
   ctx.model = &model;
-  ctx.zero_copy_kernel = !opt.no_zero_copy;
-  ctx.bound_screening = !opt.no_screen;
 
   EngineConfig ecfg;
   ecfg.window = opt.window;
@@ -346,7 +333,6 @@ Status Run(const Options& opt) {
   ecfg.max_queue = opt.max_queue;
   ecfg.seed = opt.seed;
   ecfg.use_eval_cache = !opt.no_eval_cache;
-  ecfg.use_st_index = opt.st_index || GetEnvInt("URR_ST_INDEX", 0) != 0;
   ecfg.gbs = cfg.gbs;
   ecfg.max_redispatch = opt.max_redispatch;
   ecfg.redispatch_backoff = opt.redispatch_backoff;
