@@ -1,9 +1,9 @@
-// Ablation: the distance oracle behind the solvers. DESIGN.md calls out CH
-// as the default; this bench runs the same EG workload over plain Dijkstra,
-// ALT, CH and hub-label oracles (each memo-cached) and reports solve times
-// plus oracle call counts — quantifying why CH is the default, what the
-// cheap-preprocessing ALT alternative costs, and what the hub-label
-// extraction buys on top of the CH.
+// Ablation: the distance oracle behind the solvers. Hub labels are the
+// production oracle; this bench runs the same EG workload over plain
+// Dijkstra, ALT, CH and hub labels (no cache in front of any of them) and
+// reports preprocessing time, solve time and oracle call counts — what the
+// label extraction buys on top of the CH it is built from, and what the
+// cheap-preprocessing ALT alternative costs.
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "routing/alt.h"
@@ -36,35 +36,43 @@ int main() {
   }
   const double alt_prep_s = alt_prep.ElapsedSeconds();
   DijkstraOracle dijkstra(w.network);
+  // One contraction serves both the CH oracle and the label extraction.
+  Stopwatch ch_prep;
+  auto ch = ContractionHierarchy::Build(w.network);
+  if (!ch.ok()) {
+    std::fprintf(stderr, "ch failed: %s\n", ch.status().ToString().c_str());
+    return 1;
+  }
+  const double ch_prep_s = ch_prep.ElapsedSeconds();
   Stopwatch hl_prep;
-  auto hl = HubLabelOracle::FromHierarchy(w.oracles.ch->hierarchy());
+  auto hl = HubLabelOracle::FromHierarchy(*ch);
   if (!hl.ok()) {
     std::fprintf(stderr, "hl failed: %s\n", hl.status().ToString().c_str());
     return 1;
   }
-  const double hl_prep_s = hl_prep.ElapsedSeconds();
+  const double hl_prep_s = ch_prep_s + hl_prep.ElapsedSeconds();
+  std::unique_ptr<ChOracle> ch_oracle =
+      ChOracle::FromHierarchy(*std::move(ch));
 
   struct Contender {
     const char* name;
-    DistanceOracle* base;
+    DistanceOracle* oracle;
     double prep_seconds;
   };
-  // CH preprocessing happened in BuildWorld; report it as n/a here (it is
-  // measured by the world build; the CLI prints it on real runs).
   Contender contenders[] = {
       {"Dijkstra (no prep)", &dijkstra, 0.0},
       {"ALT (8 landmarks)", alt->get(), alt_prep_s},
-      {"Contraction Hierarchies", w.oracles.ch.get(), -1.0},
-      {"Hub labels (from CH)", hl->get(), hl_prep_s},
+      {"Contraction Hierarchies", ch_oracle.get(), ch_prep_s},
+      {"Hub labels (CH + extraction)", hl->get(), hl_prep_s},
   };
 
   TablePrinter table({"oracle", "prep (s)", "EG solve (s)", "oracle calls",
                       "utility"});
   for (Contender& c : contenders) {
-    CachingOracle cached(c.base);
     SolverContext ctx = w.Context();
-    ctx.oracle = &cached;
-    const int64_t calls_before = c.base->num_calls();
+    ctx.oracle = c.oracle;
+    AttachThreadPool(&ctx, w.pool.get());
+    const int64_t calls_before = c.oracle->num_calls();
     Stopwatch t;
     UrrSolution sol = SolveEfficientGreedy(w.instance, &ctx);
     const double seconds = t.ElapsedSeconds();
@@ -75,18 +83,16 @@ int main() {
       return 1;
     }
     table.AddRow({c.name,
-                  c.prep_seconds < 0 ? "(world build)"
-                                     : TablePrinter::Num(c.prep_seconds, 2),
+                  TablePrinter::Num(c.prep_seconds, 2),
                   TablePrinter::Num(seconds, 3),
-                  std::to_string(c.base->num_calls() - calls_before),
+                  std::to_string(c.oracle->num_calls() - calls_before),
                   TablePrinter::Num(sol.TotalUtility(w.model), 3)});
   }
   table.Print();
   std::printf(
       "\nall four oracles are exact; sub-1e-9 floating-point differences in "
       "shortcut sums can flip equal-cost insertion ties, so utilities may "
-      "wobble in the last decimals. Note ALT's goal-direction wins on the "
-      "solvers' short local queries, while CH dominates long-range queries "
-      "(bench_micro) and needs no landmarks-per-component care.\n");
+      "wobble in the last decimals. Oracle calls count pairs, batched or "
+      "not; only the CH and hub labels amortize a batch.\n");
   return 0;
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "common/env.h"
 #include "common/rng.h"
@@ -30,6 +31,8 @@ namespace {
 struct MicroWorld {
   RoadNetwork network;
   std::unique_ptr<ContractionHierarchy> ch;
+  /// Labels extracted from `ch`: the production oracle.
+  std::unique_ptr<HubLabelOracle> hl;
   SocialGraph social;
   Rng rng{1234};
 
@@ -40,6 +43,7 @@ struct MicroWorld {
     network = *GenerateGridCity(opt, &rng);
     ch = std::make_unique<ContractionHierarchy>(
         *ContractionHierarchy::Build(network));
+    hl = *HubLabelOracle::FromHierarchy(*ch);
     SocialGenOptions sopt;
     sopt.num_users = 2000;
     social = *GeneratePowerLawFriends(sopt, &rng);
@@ -105,18 +109,7 @@ BENCHMARK(BM_BoundedReverseExplore)->Arg(600)->Arg(1800);
 /// Builds a w-stop schedule then measures FindBestInsertion.
 void BM_FindBestInsertion(benchmark::State& state) {
   MicroWorld& w = World();
-  ChQuery query(*w.ch);
-  // CH-backed oracle, as the solvers use in production.
-  struct ChBacked : DistanceOracle {
-    explicit ChBacked(ChQuery* q) : q_(q) {}
-    Cost Distance(NodeId u, NodeId v) override {
-      ++num_calls_;
-      return q_->Distance(u, v);
-    }
-    ChQuery* q_;
-  } base(&query);
-  CachingOracle oracle(&base);
-  TransferSequence seq(w.RandomNode(), 0, 6, &oracle);
+  TransferSequence seq(w.RandomNode(), 0, 6, w.hl.get());
   const int target_stops = static_cast<int>(state.range(0));
   int rider = 0;
   while (seq.num_stops() < target_stops) {
@@ -135,20 +128,10 @@ BENCHMARK(BM_FindBestInsertion)->Arg(4)->Arg(8)->Arg(16);
 /// while riders accumulate, versus Algorithm 1's single-sequence insert.
 void BM_KineticTreeInsert(benchmark::State& state) {
   MicroWorld& w = World();
-  ChQuery query(*w.ch);
-  struct ChBacked : DistanceOracle {
-    explicit ChBacked(ChQuery* q) : q_(q) {}
-    Cost Distance(NodeId u, NodeId v) override {
-      ++num_calls_;
-      return q_->Distance(u, v);
-    }
-    ChQuery* q_;
-  } base(&query);
-  CachingOracle oracle(&base);
   const int committed = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    KineticTree tree(w.RandomNode(), 0, 4, &oracle);
+    KineticTree tree(w.RandomNode(), 0, 4, w.hl.get());
     int placed = 0;
     for (int r = 0; placed < committed && r < committed * 6; ++r) {
       RiderTrip trip{r, w.RandomNode(), w.RandomNode(), 1e7, 1e8};
@@ -164,8 +147,6 @@ BENCHMARK(BM_KineticTreeInsert)->Arg(2)->Arg(4);
 
 void BM_ScheduleUtility(benchmark::State& state) {
   MicroWorld& w = World();
-  DijkstraOracle base(w.network);
-  CachingOracle oracle(&base);
   UrrInstance instance;
   instance.network = &w.network;
   instance.social = &w.social;
@@ -180,7 +161,7 @@ void BM_ScheduleUtility(benchmark::State& state) {
   }
   instance.vehicles = {{w.RandomNode(), 8}};
   UtilityModel model(&instance, {0.33, 0.33});
-  TransferSequence seq(instance.vehicles[0].location, 0, 8, &oracle);
+  TransferSequence seq(instance.vehicles[0].location, 0, 8, w.hl.get());
   for (int i = 0; i < 8; ++i) {
     const Rider& r = instance.riders[static_cast<size_t>(i)];
     if (r.source == r.destination) continue;
@@ -276,7 +257,7 @@ BENCHMARK(BM_ParallelCandidateEval)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Head-to-head of the oracle stack on an identical many-to-many workload.
+/// Head-to-head of the exact oracles on an identical many-to-many workload.
 /// range(0) picks the oracle (0 = Dijkstra, 1 = CH, 2 = hub labels);
 /// range(1) picks scalar per-pair queries (0) or one BatchDistances call
 /// over the same 16x64 rectangle (1). All six combinations compute the
@@ -284,10 +265,8 @@ BENCHMARK(BM_ParallelCandidateEval)
 void BM_OracleComparison(benchmark::State& state) {
   MicroWorld& w = World();
   static DijkstraOracle dijkstra(w.network);
-  static std::unique_ptr<ChOracle> ch = *ChOracle::Create(w.network);
-  static std::unique_ptr<HubLabelOracle> hl =
-      *HubLabelOracle::FromHierarchy(ch->hierarchy());
-  DistanceOracle* const oracles[] = {&dijkstra, ch.get(), hl.get()};
+  static std::unique_ptr<ChOracle> ch = ChOracle::FromHierarchy(*w.ch);
+  DistanceOracle* const oracles[] = {&dijkstra, ch.get(), w.hl.get()};
   DistanceOracle* oracle = oracles[state.range(0)];
   const bool batched = state.range(1) != 0;
   Rng rng(99);  // fixed pair set: every combination does identical work
@@ -471,6 +450,9 @@ int EmitOracleSnapshot(const std::string& path) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"commit\": \"%s\",\n"
+               "  \"nproc\": %u,\n"
+               "  \"build_type\": \"%s\",\n"
                "  \"benchmark\": \"candidate_evaluation\",\n"
                "  \"city_nodes\": %d,\n"
                "  \"riders\": %d,\n"
@@ -481,7 +463,8 @@ int EmitOracleSnapshot(const std::string& path) {
                "  \"batched_hl_seconds\": %.6f,\n"
                "  \"speedup_batched_hl_vs_batched_ch\": %.2f,\n"
                "  \"index_build\": [\n",
-               w.network.num_nodes(),
+               URR_GIT_COMMIT, std::thread::hardware_concurrency(),
+               URR_BUILD_TYPE, w.network.num_nodes(),
                static_cast<int>(ew.instance.riders.size()),
                static_cast<int>(ew.instance.vehicles.size()), ew.pairs.size(),
                hl_prep_s, batched_ch_s, batched_hl_s,

@@ -44,6 +44,4 @@ int NumThreads() {
   return static_cast<int>(raw);
 }
 
-std::string OracleName() { return GetEnvString("URR_ORACLE", "caching"); }
-
 }  // namespace urr

@@ -30,10 +30,6 @@ uint64_t BenchSeed();
 /// identical for every value; this is purely a speed knob.
 int NumThreads();
 
-/// Distance-oracle stack for experiment worlds (env URR_ORACLE, default
-/// "caching"): dijkstra | ch | caching | hl. See ParseOracleKind.
-std::string OracleName();
-
 }  // namespace urr
 
 #endif  // URR_COMMON_ENV_H_

@@ -261,12 +261,6 @@ void DispatchEngine::FinishRun() {
     metrics_.overlay_fallbacks = overlay_stats_->fallbacks.load();
     metrics_.overlay_epoch = disruption_state_->epoch();
   }
-  const DistanceOracle* base_oracle =
-      overlay_ != nullptr ? overlay_->base() : ctx_.oracle;
-  if (const auto* caching = dynamic_cast<const CachingOracle*>(base_oracle)) {
-    metrics_.oracle_hits = caching->num_hits();
-    metrics_.oracle_misses = caching->num_misses();
-  }
 }
 
 void DispatchEngine::PushFaultPlan() {

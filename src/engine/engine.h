@@ -87,8 +87,8 @@ struct EngineConfig {
   /// solve, when the engine is quiescent). 0 disables. Checkpoints are
   /// returned by checkpoints(); Restore() resumes a fresh engine from one.
   int checkpoint_every = 0;
-  /// Provenance of the .urrx index snapshot the routing stack was loaded
-  /// from (empty/0 = the stack was built fresh). Recorded in every
+  /// Provenance of the .urrx index snapshot the distance oracle was loaded
+  /// from (empty/0 = the oracle was built fresh). Recorded in every
   /// checkpoint; Restore() refuses a checkpoint whose recorded snapshot
   /// disagrees with the restoring engine's — replaying against different
   /// preprocessing would silently diverge.

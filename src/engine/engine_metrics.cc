@@ -82,9 +82,7 @@ std::string EngineMetricsJson(const EngineMetrics& m, bool include_windows) {
       .Field("eval_cache_misses", m.eval_cache_misses)
       .Field("screened_pairs", m.screened_pairs)
       .Field("elided_queries", m.elided_queries)
-      .Field("kernel_evals", m.kernel_evals)
-      .Field("oracle_hits", m.oracle_hits)
-      .Field("oracle_misses", m.oracle_misses);
+      .Field("kernel_evals", m.kernel_evals);
   w.Key("retrieval")
       .BeginObject()
       .Field("riders", m.retrieval_riders)

@@ -94,7 +94,8 @@ struct EngineMetrics {
   int64_t screened_pairs = 0;   // (i,j) pairs rejected by the Euclidean bound
   int64_t elided_queries = 0;   // oracle queries the bound made unnecessary
   int64_t kernel_evals = 0;     // exact FindBestInsertion kernel runs
-  /// Shared distance-cache stats (CachingOracle, when active; else 0).
+  /// Always 0: there is no distance cache. Kept only because the benchmark
+  /// harness (perfbench/) reads them; they go with its next change.
   int64_t oracle_hits = 0;
   int64_t oracle_misses = 0;
   /// Candidate-retrieval counters (see RetrievalStats).

@@ -15,7 +15,7 @@ namespace urr {
 
 SolverContext ExperimentWorld::Context() {
   SolverContext ctx;
-  ctx.oracle = oracles.active;
+  ctx.oracle = oracle.get();
   ctx.model = &model;
   ctx.vehicle_index = vehicle_index.get();
   ctx.rng = &rng;
@@ -66,17 +66,14 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
                            world->network.coords()));
   }
 
-  // --- Evaluation pool (created before the oracle stack so the CH / HL
+  // --- Evaluation pool (created before the oracle so the CH / HL
   // construction parallelizes on it; build results are bit-identical at any
   // thread count).
   const int threads =
       config.num_threads > 0 ? config.num_threads : NumThreads();
   if (threads > 1) world->pool = std::make_unique<ThreadPool>(threads);
 
-  // --- Routing oracle stack (config / URR_ORACLE; default CH + memo cache).
-  const std::string oracle_name =
-      config.oracle.empty() ? OracleName() : config.oracle;
-  URR_ASSIGN_OR_RETURN(OracleKind oracle_kind, ParseOracleKind(oracle_name));
+  // --- Routing oracle: hub labels, loaded from the snapshot or built.
   if (!config.index_snapshot.empty()) {
     URR_ASSIGN_OR_RETURN(IndexSnapshot snapshot,
                          LoadIndexSnapshot(config.index_snapshot));
@@ -92,18 +89,15 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
           "' was built for a different network than this configuration "
           "generates");
     }
-    URR_ASSIGN_OR_RETURN(
-        world->oracles,
-        OracleStackFromParts(world->network, std::move(snapshot.ch),
-                             std::move(snapshot.hub_labels), oracle_kind));
+    world->oracle = std::make_unique<HubLabelOracle>(
+        std::make_shared<const HubLabels>(std::move(snapshot.hub_labels)));
     URR_ASSIGN_OR_RETURN(world->index_checksum,
                          IndexSnapshotFileChecksum(config.index_snapshot));
   } else {
     ChOptions ch_options;
     ch_options.pool = world->pool.get();
-    URR_ASSIGN_OR_RETURN(
-        world->oracles,
-        BuildOracleStack(world->network, oracle_kind, ch_options));
+    URR_ASSIGN_OR_RETURN(world->oracle,
+                         HubLabelOracle::Create(world->network, ch_options));
   }
 
   // --- Geo-social substrate. -----------------------------------------------
@@ -138,7 +132,7 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
   inst_opt.epsilon = config.epsilon;
 
   InstanceBuilder builder(&world->network, &world->social,
-                          world->checkins.get(), world->oracles.active);
+                          world->checkins.get(), world->oracle.get());
   if (config.synthetic) {
     URR_ASSIGN_OR_RETURN(
         PoissonDemandModel demand,
@@ -166,17 +160,13 @@ Result<std::unique_ptr<ExperimentWorld>> BuildWorld(
   world->max_speed = world->network.MaxSpeed();
 
   // --- Evaluation-pool wiring. ---------------------------------------------
-  // Worker 0 (the caller) keeps the shared caching oracle; workers 1..T-1
-  // get independent clones. Results are bit-identical at any thread count.
+  // Worker 0 (the caller) keeps the world's oracle; workers 1..T-1 get
+  // clones sharing its labels. Results are bit-identical at any thread count.
   if (world->pool != nullptr) {
     SolverContext wiring;
-    wiring.oracle = world->oracles.active;
+    wiring.oracle = world->oracle.get();
     AttachThreadPool(&wiring, world->pool.get());
-    if (wiring.worker_set == nullptr) {  // non-cloneable oracle: stay serial
-      world->pool.reset();
-    } else {
-      world->worker_set = wiring.worker_set;
-    }
+    world->worker_set = wiring.worker_set;
   }
   return world;
 }

@@ -55,22 +55,16 @@ struct ExperimentConfig {
   bool synthetic = true;          // Poisson-mined pipeline vs records directly
   uint64_t seed = 42;
 
-  /// Distance-oracle stack: "dijkstra" | "ch" | "caching" | "hl"; "" (the
-  /// default) takes URR_ORACLE from the environment (default "caching").
-  /// All kinds answer exact distances; on quantized-cost networks the
-  /// solver outputs are bit-identical across kinds.
-  std::string oracle;
-
   /// Evaluation threads for the solvers (candidate evaluation + GBS group
   /// waves). 0 = take URR_THREADS from the environment; 1 = serial. Results
   /// are bit-identical for every value. The same pool also parallelizes the
   /// CH contraction and hub-label extraction during BuildWorld.
   int num_threads = 0;
 
-  /// Path to a .urrx index snapshot. When set, the CH and hub labels are
-  /// loaded from it instead of rebuilt (the snapshot must match the
-  /// generated network exactly); queries are bitwise identical to a fresh
-  /// build. Empty = always build.
+  /// Path to a .urrx index snapshot. When set, the hub labels are loaded
+  /// from it instead of rebuilt (the snapshot must match the generated
+  /// network exactly); queries are bitwise identical to a fresh build.
+  /// Empty = always build.
   std::string index_snapshot;
 
   GbsOptions gbs;                 // k / d_max / auto_k for GBS runs
@@ -82,9 +76,9 @@ struct ExperimentWorld {
   SocialGraph social;
   std::unique_ptr<CheckInMap> checkins;
   std::unique_ptr<LocationHistorySimilarity> history;
-  /// The routing stack selected by config.oracle / URR_ORACLE; solvers use
-  /// `oracles.active`.
-  OracleStack oracles;
+  /// The distance oracle every solver, the instance builder and the
+  /// simulation route on (hub labels, exact).
+  std::unique_ptr<HubLabelOracle> oracle;
   TripRecords records;
   UrrInstance instance;
   UtilityModel model{nullptr, {}};  // re-pointed in BuildWorld

@@ -43,7 +43,7 @@ Result<SimulationReport> RunRollingHorizon(ExperimentWorld* world,
                               world->config.frame_minutes * 60));
 
   InstanceBuilder builder(&world->network, &world->social,
-                          world->checkins.get(), world->oracles.active);
+                          world->checkins.get(), world->oracle.get());
   InstanceOptions opts;
   const int target = config.num_frames * config.riders_per_frame;
   opts.num_riders = target;  // target; actual may differ

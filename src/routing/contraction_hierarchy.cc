@@ -11,16 +11,25 @@ namespace urr {
 
 namespace {
 
+/// Settle cap for witness searches: higher = fewer redundant shortcuts,
+/// slower build. Correctness does not depend on it.
+constexpr int kWitnessSettleLimit = 256;
+/// Node-priority weights: the edge difference, and the deleted-neighbors
+/// term that keeps contraction spatially uniform.
+constexpr int64_t kEdgeDifferenceWeight = 8;
+constexpr int64_t kDeletedNeighborsWeight = 2;
+
 struct OverlayEdge {
   NodeId to;
   Cost cost;
 };
 
-/// Mutable overlay graph used during contraction.
+/// Mutable overlay graph used during contraction. Adjacency lists hold
+/// uncontracted nodes only: Detach drops a node from its neighbors' lists
+/// as it is contracted.
 struct Overlay {
   std::vector<std::vector<OverlayEdge>> out;
   std::vector<std::vector<OverlayEdge>> in;
-  std::vector<bool> contracted;
 
   /// Inserts or relaxes edge u -> v with `cost` in both adjacency mirrors.
   void UpsertEdge(NodeId u, NodeId v, Cost cost) {
@@ -36,19 +45,37 @@ struct Overlay {
     upsert(&out[static_cast<size_t>(u)], v, cost);
     upsert(&in[static_cast<size_t>(v)], u, cost);
   }
+
+  /// Removes contracted `v` from its neighbors' lists and releases its own.
+  /// The erase keeps the remaining edges in insertion order: shortcut
+  /// enumeration follows list order, and the hierarchy's bytes with it.
+  void Detach(NodeId v) {
+    auto erase = [v](std::vector<OverlayEdge>* list) {
+      list->erase(std::find_if(list->begin(), list->end(),
+                               [v](const OverlayEdge& e) { return e.to == v; }));
+    };
+    for (const auto& e : in[static_cast<size_t>(v)]) {
+      erase(&out[static_cast<size_t>(e.to)]);
+    }
+    for (const auto& e : out[static_cast<size_t>(v)]) {
+      erase(&in[static_cast<size_t>(e.to)]);
+    }
+    std::vector<OverlayEdge>().swap(in[static_cast<size_t>(v)]);
+    std::vector<OverlayEdge>().swap(out[static_cast<size_t>(v)]);
+  }
 };
 
 /// Bounded witness search: returns the shortest u ~> w distance in the
-/// overlay (skipping contracted nodes and `excluded`), giving up after
-/// `settle_limit` settles or once `limit` is exceeded. May overestimate
-/// (returns +inf on give-up), which only costs an extra shortcut.
+/// overlay (skipping `excluded`), giving up after kWitnessSettleLimit
+/// settles or once `limit` is exceeded. May overestimate (returns +inf on
+/// give-up), which only costs an extra shortcut.
 class WitnessSearch {
  public:
   explicit WitnessSearch(size_t n)
       : dist_(n, kInfiniteCost), stamp_(n, 0) {}
 
   Cost Run(const Overlay& overlay, NodeId source, NodeId target, NodeId excluded,
-           Cost limit, int settle_limit) {
+           Cost limit) {
     ++now_;
     if (now_ == 0) {
       std::fill(stamp_.begin(), stamp_.end(), 0);
@@ -64,11 +91,9 @@ class WitnessSearch {
       if (d > Get(v)) continue;
       if (v == target) return d;
       if (d > limit) break;
-      if (++settled > settle_limit) break;
+      if (++settled > kWitnessSettleLimit) break;
       for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-        if (e.to == excluded || overlay.contracted[static_cast<size_t>(e.to)]) {
-          continue;
-        }
+        if (e.to == excluded) continue;
         const Cost nd = d + e.cost;
         if (nd < Get(e.to) && nd <= limit) {
           Set(e.to, nd);
@@ -106,30 +131,26 @@ struct Shortcut {
 /// Enumerates the shortcuts contraction of `v` would require. When `apply`
 /// is null the caller only wants the count (priority computation).
 ///
-/// `strict_witness` controls how cost ties are resolved: sequential
-/// contraction may drop a shortcut whenever an equally-cheap witness exists
+/// A shortcut is dropped only when a STRICTLY cheaper witness exists.
+/// Sequential contraction could also drop it for an equally-cheap witness
 /// (the witness is still in the graph when `v` goes away), but a frozen
-/// independent-set round must keep it — two same-round winners can witness
+/// independent-set round must keep it: two same-round winners can witness
 /// each other's shortcut at exactly equal cost, and suppressing both loses
-/// the path entirely. Requiring a strictly cheaper witness breaks that
-/// symmetry: a chain of strictly-decreasing substitutions cannot cycle, so
-/// some surviving path always realizes the distance.
+/// the path entirely. The strict rule breaks that symmetry: a chain of
+/// strictly-decreasing substitutions cannot cycle, so some surviving path
+/// always realizes the distance.
 int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness,
-                        const ChOptions& options,
-                        std::vector<Shortcut>* apply,
-                        bool strict_witness = false) {
+                        std::vector<Shortcut>* apply) {
   int shortcuts = 0;
   for (const auto& ein : overlay.in[static_cast<size_t>(v)]) {
     const NodeId u = ein.to;
-    if (u == v || overlay.contracted[static_cast<size_t>(u)]) continue;
+    if (u == v) continue;
     for (const auto& eout : overlay.out[static_cast<size_t>(v)]) {
       const NodeId w = eout.to;
-      if (w == v || w == u || overlay.contracted[static_cast<size_t>(w)]) continue;
+      if (w == v || w == u) continue;
       const Cost via = ein.cost + eout.cost;
-      const Cost alt = witness->Run(overlay, u, w, v, via,
-                                    options.witness_settle_limit);
       // Witness path exists, no shortcut needed.
-      if (strict_witness ? alt < via : alt <= via) continue;
+      if (witness->Run(overlay, u, w, v, via) < via) continue;
       ++shortcuts;
       if (apply != nullptr) apply->push_back({u, w, via, v});
     }
@@ -139,97 +160,23 @@ int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness
 
 /// Node priority: lower contracts earlier.
 int64_t Priority(const Overlay& overlay, NodeId v, int shortcuts,
-                 int deleted_neighbors, const ChOptions& options) {
-  int degree = 0;
-  for (const auto& e : overlay.in[static_cast<size_t>(v)]) {
-    if (!overlay.contracted[static_cast<size_t>(e.to)]) ++degree;
-  }
-  for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-    if (!overlay.contracted[static_cast<size_t>(e.to)]) ++degree;
-  }
+                 int deleted_neighbors) {
+  const auto degree = static_cast<int>(overlay.in[static_cast<size_t>(v)].size() +
+                                       overlay.out[static_cast<size_t>(v)].size());
   const int edge_difference = shortcuts - degree;
-  return static_cast<int64_t>(options.edge_difference_weight) * edge_difference +
-         static_cast<int64_t>(options.deleted_neighbors_weight) *
-             deleted_neighbors;
-}
-
-/// Geometric nested dissection: recursively bisect the node set on the
-/// wider coordinate axis; the ~sqrt(|S|) nodes nearest the median form the
-/// separator and are emitted (= contracted) after both halves. Produces
-/// near-optimal CH orders on planar/grid-like networks.
-std::vector<NodeId> GeometricOrder(const RoadNetwork& network) {
-  std::vector<NodeId> nodes(static_cast<size_t>(network.num_nodes()));
-  for (NodeId v = 0; v < network.num_nodes(); ++v) {
-    nodes[static_cast<size_t>(v)] = v;
-  }
-  std::vector<NodeId> order;
-  order.reserve(nodes.size());
-
-  struct Task {
-    std::vector<NodeId> set;
-    bool emit_only;  // true: append as-is (base case / separators)
-  };
-  // Manual stack with an output-ordering trick: we push (separator,
-  // emit_only) AFTER the halves so it pops FIRST... we need separator last,
-  // so push order: separator-task first, then right, then left (LIFO).
-  std::vector<Task> stack;
-  stack.push_back({std::move(nodes), false});
-  while (!stack.empty()) {
-    Task task = std::move(stack.back());
-    stack.pop_back();
-    if (task.emit_only || task.set.size() <= 16) {
-      for (NodeId v : task.set) order.push_back(v);
-      continue;
-    }
-    // Pick the wider axis.
-    double min_x = 1e300, max_x = -1e300, min_y = 1e300, max_y = -1e300;
-    for (NodeId v : task.set) {
-      const Coord& c = network.coord(v);
-      min_x = std::min(min_x, c.x);
-      max_x = std::max(max_x, c.x);
-      min_y = std::min(min_y, c.y);
-      max_y = std::max(max_y, c.y);
-    }
-    const bool by_x = (max_x - min_x) >= (max_y - min_y);
-    std::sort(task.set.begin(), task.set.end(), [&](NodeId a, NodeId b) {
-      const Coord& ca = network.coord(a);
-      const Coord& cb = network.coord(b);
-      return by_x ? ca.x < cb.x : ca.y < cb.y;
-    });
-    const size_t n = task.set.size();
-    const size_t sep = std::max<size_t>(
-        1, static_cast<size_t>(std::sqrt(static_cast<double>(n))));
-    const size_t mid = n / 2;
-    const size_t sep_lo = mid - std::min(mid, sep / 2);
-    const size_t sep_hi = std::min(n, sep_lo + sep);
-    Task left{std::vector<NodeId>(task.set.begin(), task.set.begin() + sep_lo),
-              false};
-    Task middle{std::vector<NodeId>(task.set.begin() + sep_lo,
-                                    task.set.begin() + sep_hi),
-                true};
-    Task right{std::vector<NodeId>(task.set.begin() + sep_hi, task.set.end()),
-               false};
-    // LIFO: separator pops last -> highest ranks.
-    stack.push_back(std::move(middle));
-    stack.push_back(std::move(right));
-    stack.push_back(std::move(left));
-  }
-  return order;
+  return kEdgeDifferenceWeight * edge_difference +
+         kDeletedNeighborsWeight * deleted_neighbors;
 }
 
 }  // namespace
 
 Result<ContractionHierarchy> ContractionHierarchy::Build(
     const RoadNetwork& network, const ChOptions& options) {
-  if (options.witness_settle_limit < 1) {
-    return Status::InvalidArgument("witness_settle_limit must be >= 1");
-  }
   const NodeId n = network.num_nodes();
   const auto nu = static_cast<size_t>(n);
   Overlay overlay;
   overlay.out.resize(nu);
   overlay.in.resize(nu);
-  overlay.contracted.assign(nu, false);
   for (NodeId v = 0; v < n; ++v) {
     auto heads = network.OutNeighbors(v);
     auto costs = network.OutCosts(v);
@@ -239,7 +186,6 @@ Result<ContractionHierarchy> ContractionHierarchy::Build(
     }
   }
 
-  WitnessSearch witness(nu);
   std::vector<int> deleted_neighbors(nu, 0);
   std::vector<int32_t> rank(nu, -1);
 
@@ -251,204 +197,124 @@ Result<ContractionHierarchy> ContractionHierarchy::Build(
     }
   }
 
-  int32_t next_rank = 0;
-  std::vector<Shortcut> shortcuts;
-  auto contract = [&](NodeId v) {
-    overlay.contracted[static_cast<size_t>(v)] = true;
-    rank[static_cast<size_t>(v)] = next_rank++;
-    for (const auto& s : shortcuts) {
-      overlay.UpsertEdge(s.from, s.to, s.cost);
-      all_edges.push_back(s);
-    }
-    for (const auto& e : overlay.in[static_cast<size_t>(v)]) {
-      if (!overlay.contracted[static_cast<size_t>(e.to)]) {
-        ++deleted_neighbors[static_cast<size_t>(e.to)];
-      }
-    }
-    for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-      if (!overlay.contracted[static_cast<size_t>(e.to)]) {
-        ++deleted_neighbors[static_cast<size_t>(e.to)];
-      }
-    }
+  // Independent-set rounds. Each round freezes the overlay; priorities, the
+  // local-minimum selection and the shortcut simulations are all pure
+  // functions of that frozen state, computed into per-index slots, so the
+  // result is bit-identical at any thread count. Shortcuts of the round's
+  // winners are then applied serially in (priority, id) order.
+  //
+  // Correctness of the frozen-state simulation: two adjacent nodes are never
+  // both selected (the (priority, id) comparison is a strict total order),
+  // so no edge incident to a winner is touched by another winner in the
+  // same round. A witness path found on the frozen overlay may run through
+  // other same-round winners, so a shortcut is only omitted when the
+  // witness is strictly cheaper (see SimulateContraction).
+  ThreadPool* pool = options.pool;
+  const int workers = pool != nullptr ? std::max(pool->num_threads(), 1) : 1;
+  std::vector<std::unique_ptr<WitnessSearch>> worker_witness;
+  worker_witness.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    worker_witness.push_back(std::make_unique<WitnessSearch>(nu));
+  }
+
+  std::vector<int64_t> prio(nu, 0);
+  std::vector<NodeId> remaining(nu);
+  for (NodeId v = 0; v < n; ++v) remaining[static_cast<size_t>(v)] = v;
+  ParallelFor(pool, static_cast<int64_t>(remaining.size()),
+              [&](int64_t i, int w) {
+                const NodeId v = remaining[static_cast<size_t>(i)];
+                const int sc = SimulateContraction(
+                    overlay, v, worker_witness[static_cast<size_t>(w)].get(),
+                    nullptr);
+                prio[static_cast<size_t>(v)] = Priority(overlay, v, sc, 0);
+              });
+
+  // (priority, id) strict ordering shared by selection and rank order.
+  auto before = [&](NodeId a, NodeId b) {
+    const int64_t pa = prio[static_cast<size_t>(a)];
+    const int64_t pb = prio[static_cast<size_t>(b)];
+    return pa != pb ? pa < pb : a < b;
   };
 
-  const ChOrderStrategy strategy = options.order == ChOrderStrategy::kAuto
-                                       ? ChOrderStrategy::kParallelRounds
-                                       : options.order;
-  if (strategy == ChOrderStrategy::kGeometric) {
-    // Fixed nested-dissection order: contract in sequence, no priority.
-    for (NodeId v : GeometricOrder(network)) {
-      shortcuts.clear();
-      SimulateContraction(overlay, v, &witness, options, &shortcuts);
-      contract(v);
+  int32_t next_rank = 0;
+  std::vector<uint8_t> win(nu, 0);
+  std::vector<uint8_t> dirty(nu, 0);
+  std::vector<NodeId> selected;
+  std::vector<NodeId> dirty_list;
+  std::vector<std::vector<Shortcut>> node_shortcuts;
+  while (!remaining.empty()) {
+    // Selection: v wins iff it precedes every uncontracted neighbor.
+    ParallelFor(
+        pool, static_cast<int64_t>(remaining.size()), [&](int64_t i, int) {
+          const NodeId v = remaining[static_cast<size_t>(i)];
+          auto precedes_all = [&](const std::vector<OverlayEdge>& list) {
+            for (const auto& e : list) {
+              if (e.to != v && before(e.to, v)) return false;
+            }
+            return true;
+          };
+          win[static_cast<size_t>(v)] =
+              precedes_all(overlay.in[static_cast<size_t>(v)]) &&
+                      precedes_all(overlay.out[static_cast<size_t>(v)])
+                  ? 1
+                  : 0;
+        });
+    selected.clear();
+    for (const NodeId v : remaining) {
+      if (win[static_cast<size_t>(v)] != 0) selected.push_back(v);
     }
-  } else if (strategy == ChOrderStrategy::kParallelRounds) {
-    // Independent-set rounds. Each round freezes the overlay; priorities,
-    // the local-minimum selection and the shortcut simulations are all pure
-    // functions of that frozen state, computed into per-index slots, so the
-    // result is bit-identical at any thread count. Shortcuts of the round's
-    // winners are then applied serially in (priority, id) order.
-    //
-    // Correctness of the frozen-state simulation: two adjacent nodes are
-    // never both selected (the (priority, id) comparison is a strict total
-    // order), so no edge incident to a winner is touched by another winner
-    // in the same round. A witness path found on the frozen overlay may run
-    // through other same-round winners, so a shortcut is only omitted when
-    // the witness is STRICTLY cheaper (strict_witness below): each removed
-    // node on the witness is then replaced by its own shortcuts at equal
-    // cost or by a strictly cheaper witness in turn, and a chain of strict
-    // decreases cannot cycle back. With the sequential tie rule (<=) two
-    // equal-cost winners can witness each other and both paths vanish.
-    ThreadPool* pool = options.pool;
-    const int workers =
-        pool != nullptr ? std::max(pool->num_threads(), 1) : 1;
-    std::vector<std::unique_ptr<WitnessSearch>> worker_witness;
-    worker_witness.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      worker_witness.push_back(std::make_unique<WitnessSearch>(nu));
-    }
+    assert(!selected.empty() && "the global (priority, id) minimum wins");
+    std::sort(selected.begin(), selected.end(), before);
 
-    std::vector<int64_t> prio(nu, 0);
-    std::vector<NodeId> remaining(nu);
-    for (NodeId v = 0; v < n; ++v) remaining[static_cast<size_t>(v)] = v;
-    ParallelFor(pool, static_cast<int64_t>(remaining.size()),
+    node_shortcuts.assign(selected.size(), {});
+    ParallelFor(pool, static_cast<int64_t>(selected.size()),
                 [&](int64_t i, int w) {
-                  const NodeId v = remaining[static_cast<size_t>(i)];
-                  const int sc = SimulateContraction(
-                      overlay, v, worker_witness[static_cast<size_t>(w)].get(),
-                      options, nullptr, /*strict_witness=*/true);
-                  prio[static_cast<size_t>(v)] =
-                      Priority(overlay, v, sc, 0, options);
+                  SimulateContraction(
+                      overlay, selected[static_cast<size_t>(i)],
+                      worker_witness[static_cast<size_t>(w)].get(),
+                      &node_shortcuts[static_cast<size_t>(i)]);
                 });
 
-    // (priority, id) strict ordering shared by selection and rank order.
-    auto before = [&](NodeId a, NodeId b) {
-      const int64_t pa = prio[static_cast<size_t>(a)];
-      const int64_t pb = prio[static_cast<size_t>(b)];
-      return pa != pb ? pa < pb : a < b;
-    };
-
-    std::vector<uint8_t> win(nu, 0);
-    std::vector<uint8_t> dirty(nu, 0);
-    std::vector<NodeId> selected;
-    std::vector<NodeId> dirty_list;
-    std::vector<std::vector<Shortcut>> node_shortcuts;
-    while (!remaining.empty()) {
-      // Selection: v wins iff it precedes every uncontracted neighbor.
-      ParallelFor(
-          pool, static_cast<int64_t>(remaining.size()), [&](int64_t i, int) {
-            const NodeId v = remaining[static_cast<size_t>(i)];
-            bool ok = true;
-            for (const auto& e : overlay.in[static_cast<size_t>(v)]) {
-              if (e.to != v && !overlay.contracted[static_cast<size_t>(e.to)] &&
-                  before(e.to, v)) {
-                ok = false;
-                break;
-              }
-            }
-            if (ok) {
-              for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-                if (e.to != v &&
-                    !overlay.contracted[static_cast<size_t>(e.to)] &&
-                    before(e.to, v)) {
-                  ok = false;
-                  break;
-                }
-              }
-            }
-            win[static_cast<size_t>(v)] = ok ? 1 : 0;
-          });
-      selected.clear();
-      for (const NodeId v : remaining) {
-        if (win[static_cast<size_t>(v)] != 0) selected.push_back(v);
+    // Serial application in (priority, id) order: ranks, shortcut edges,
+    // deleted-neighbor counts and the dirty set for re-prioritization.
+    for (size_t i = 0; i < selected.size(); ++i) {
+      const NodeId v = selected[i];
+      rank[static_cast<size_t>(v)] = next_rank++;
+      for (const auto& s : node_shortcuts[i]) {
+        overlay.UpsertEdge(s.from, s.to, s.cost);
+        all_edges.push_back(s);
       }
-      assert(!selected.empty() && "the global (priority, id) minimum wins");
-      std::sort(selected.begin(), selected.end(), before);
-
-      node_shortcuts.assign(selected.size(), {});
-      ParallelFor(pool, static_cast<int64_t>(selected.size()),
-                  [&](int64_t i, int w) {
-                    SimulateContraction(
-                        overlay, selected[static_cast<size_t>(i)],
-                        worker_witness[static_cast<size_t>(w)].get(), options,
-                        &node_shortcuts[static_cast<size_t>(i)],
-                        /*strict_witness=*/true);
-                  });
-
-      // Serial application in (priority, id) order: ranks, shortcut edges,
-      // deleted-neighbor counts and the dirty set for re-prioritization.
-      for (size_t i = 0; i < selected.size(); ++i) {
-        const NodeId v = selected[i];
-        overlay.contracted[static_cast<size_t>(v)] = true;
-        rank[static_cast<size_t>(v)] = next_rank++;
-        for (const auto& s : node_shortcuts[i]) {
-          overlay.UpsertEdge(s.from, s.to, s.cost);
-          all_edges.push_back(s);
-        }
-        for (const auto& e : overlay.in[static_cast<size_t>(v)]) {
-          if (!overlay.contracted[static_cast<size_t>(e.to)]) {
-            ++deleted_neighbors[static_cast<size_t>(e.to)];
-            dirty[static_cast<size_t>(e.to)] = 1;
-          }
-        }
-        for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-          if (!overlay.contracted[static_cast<size_t>(e.to)]) {
-            ++deleted_neighbors[static_cast<size_t>(e.to)];
-            dirty[static_cast<size_t>(e.to)] = 1;
-          }
+      for (const auto* list : {&overlay.in[static_cast<size_t>(v)],
+                               &overlay.out[static_cast<size_t>(v)]}) {
+        for (const auto& e : *list) {
+          ++deleted_neighbors[static_cast<size_t>(e.to)];
+          dirty[static_cast<size_t>(e.to)] = 1;
         }
       }
-
-      remaining.erase(
-          std::remove_if(remaining.begin(), remaining.end(),
-                         [&](NodeId v) {
-                           return overlay.contracted[static_cast<size_t>(v)];
-                         }),
-          remaining.end());
-      dirty_list.clear();
-      for (const NodeId v : remaining) {
-        if (dirty[static_cast<size_t>(v)] != 0) {
-          dirty_list.push_back(v);
-          dirty[static_cast<size_t>(v)] = 0;
-        }
-      }
-      ParallelFor(pool, static_cast<int64_t>(dirty_list.size()),
-                  [&](int64_t i, int w) {
-                    const NodeId v = dirty_list[static_cast<size_t>(i)];
-                    const int sc = SimulateContraction(
-                        overlay, v,
-                        worker_witness[static_cast<size_t>(w)].get(), options,
-                        nullptr, /*strict_witness=*/true);
-                    prio[static_cast<size_t>(v)] = Priority(
-                        overlay, v, sc,
-                        deleted_neighbors[static_cast<size_t>(v)], options);
-                  });
+      overlay.Detach(v);
     }
-  } else {
-    using HeapEntry = std::pair<int64_t, NodeId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap;
-    for (NodeId v = 0; v < n; ++v) {
-      const int sc = SimulateContraction(overlay, v, &witness, options, nullptr);
-      heap.push({Priority(overlay, v, sc, 0, options), v});
-    }
-    while (!heap.empty()) {
-      auto [prio, v] = heap.top();
-      heap.pop();
-      if (overlay.contracted[static_cast<size_t>(v)]) continue;
-      // Lazy update: recompute and re-insert when stale.
-      shortcuts.clear();
-      const int sc =
-          SimulateContraction(overlay, v, &witness, options, &shortcuts);
-      const int64_t fresh = Priority(
-          overlay, v, sc, deleted_neighbors[static_cast<size_t>(v)], options);
-      if (!heap.empty() && fresh > heap.top().first) {
-        heap.push({fresh, v});
-        continue;
+
+    remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
+                                   [&](NodeId v) {
+                                     return rank[static_cast<size_t>(v)] >= 0;
+                                   }),
+                    remaining.end());
+    dirty_list.clear();
+    for (const NodeId v : remaining) {
+      if (dirty[static_cast<size_t>(v)] != 0) {
+        dirty_list.push_back(v);
+        dirty[static_cast<size_t>(v)] = 0;
       }
-      contract(v);
     }
+    ParallelFor(pool, static_cast<int64_t>(dirty_list.size()),
+                [&](int64_t i, int w) {
+                  const NodeId v = dirty_list[static_cast<size_t>(i)];
+                  const int sc = SimulateContraction(
+                      overlay, v, worker_witness[static_cast<size_t>(w)].get(),
+                      nullptr);
+                  prio[static_cast<size_t>(v)] = Priority(
+                      overlay, v, sc, deleted_neighbors[static_cast<size_t>(v)]);
+                });
   }
   assert(next_rank == n);
 

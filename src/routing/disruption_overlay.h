@@ -1,6 +1,6 @@
 // Graceful routing degradation under edge disruptions (DESIGN.md §10).
 //
-// Precomputed oracles (CH, hub labels, caches) answer distances on the
+// Precomputed oracles (hub labels, CH) answer distances on the
 // *clean* network; rebuilding them per disruption is far too expensive for
 // a streaming engine. The overlay exploits that every supported
 // perturbation is a weight *increase* (slowdown factor >= 1 or a full
@@ -127,8 +127,6 @@ class DisruptionOverlay : public DistanceOracle {
 
   const DisruptionState& state() const { return *state_; }
   const OverlayStats& stats() const { return *stats_; }
-  /// The wrapped clean-network oracle (for cache-stat reporting).
-  const DistanceOracle* base() const { return base_; }
 
  private:
   DisruptionOverlay(std::unique_ptr<DistanceOracle> owned_base,

@@ -106,100 +106,4 @@ std::unique_ptr<DistanceOracle> ChOracle::Clone() const {
   return std::make_unique<ChQueryOracle>(ch_);
 }
 
-CachingOracle::CachingOracle(DistanceOracle* base, size_t max_entries)
-    : base_(base), max_entries_(max_entries) {
-  cache_.reserve(1 << 12);
-}
-
-CachingOracle::CachingOracle(std::unique_ptr<DistanceOracle> owned_base,
-                             size_t max_entries)
-    : base_(owned_base.get()),
-      owned_base_(std::move(owned_base)),
-      max_entries_(max_entries) {
-  cache_.reserve(1 << 12);
-}
-
-Cost CachingOracle::Distance(NodeId u, NodeId v) {
-  ++num_calls_;
-  const uint64_t key =
-      (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-      static_cast<uint64_t>(static_cast<uint32_t>(v));
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  const Cost d = base_->Distance(u, v);
-  if (cache_.size() >= max_entries_) cache_.clear();  // simple flush policy
-  cache_.emplace(key, d);
-  return d;
-}
-
-void CachingOracle::BatchDistances(std::span<const NodeId> sources,
-                                   std::span<const NodeId> targets,
-                                   Cost* out) {
-  num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-  std::vector<NodeId> miss_us, miss_vs;
-  std::vector<size_t> miss_slots;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      const uint64_t key =
-          (static_cast<uint64_t>(static_cast<uint32_t>(sources[i])) << 32) |
-          static_cast<uint64_t>(static_cast<uint32_t>(targets[j]));
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        ++hits_;
-        out[i * targets.size() + j] = it->second;
-      } else {
-        ++misses_;
-        miss_us.push_back(sources[i]);
-        miss_vs.push_back(targets[j]);
-        miss_slots.push_back(i * targets.size() + j);
-      }
-    }
-  }
-  if (miss_us.empty()) return;
-  std::vector<Cost> miss_out(miss_us.size());
-  base_->BatchPairwise(miss_us, miss_vs, miss_out.data());
-  for (size_t k = 0; k < miss_us.size(); ++k) {
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(miss_us[k])) << 32) |
-        static_cast<uint64_t>(static_cast<uint32_t>(miss_vs[k]));
-    if (cache_.size() >= max_entries_) cache_.clear();  // simple flush policy
-    cache_.emplace(key, miss_out[k]);
-    out[miss_slots[k]] = miss_out[k];
-  }
-}
-
-std::unique_ptr<DistanceOracle> CachingOracle::Clone() const {
-  std::unique_ptr<DistanceOracle> base = base_->Clone();
-  if (base == nullptr) return nullptr;
-  return std::unique_ptr<DistanceOracle>(
-      new CachingOracle(std::move(base), max_entries_));
-}
-
-Result<OracleKind> ParseOracleKind(const std::string& name) {
-  if (name == "dijkstra") return OracleKind::kDijkstra;
-  if (name == "ch") return OracleKind::kCh;
-  if (name == "caching") return OracleKind::kCachingCh;
-  if (name == "hl") return OracleKind::kHubLabel;
-  return Status::InvalidArgument("unknown oracle kind '" + name +
-                                 "' (expected dijkstra|ch|caching|hl)");
-}
-
-const char* OracleKindName(OracleKind kind) {
-  switch (kind) {
-    case OracleKind::kDijkstra:
-      return "dijkstra";
-    case OracleKind::kCh:
-      return "ch";
-    case OracleKind::kCachingCh:
-      return "caching";
-    case OracleKind::kHubLabel:
-      return "hl";
-  }
-  return "unknown";
-}
-
 }  // namespace urr

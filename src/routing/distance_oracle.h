@@ -1,15 +1,13 @@
 // DistanceOracle: the one interface through which all URR components ask for
-// shortest-path costs. Implementations: CH-backed (default), plain Dijkstra
-// (reference/witness), and a memoizing wrapper (schedule insertion asks for
-// the same pairs repeatedly).
+// shortest-path costs. Implementations: hub labels (the production oracle,
+// routing/hub_labels.h), CH (index verification and path expansion) and
+// plain Dijkstra (the reference).
 #ifndef URR_ROUTING_DISTANCE_ORACLE_H_
 #define URR_ROUTING_DISTANCE_ORACLE_H_
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "routing/contraction_hierarchy.h"
@@ -36,7 +34,7 @@ class DistanceOracle {
                               std::span<const NodeId> targets, Cost* out);
 
   /// Element-wise batch: out[k] = Distance(us[k], vs[k]). The base
-  /// implementation loops in order, so decorators (caching) observe exactly
+  /// implementation loops in order, so decorators observe exactly
   /// the per-pair call sequence.
   virtual void BatchPairwise(std::span<const NodeId> us,
                              std::span<const NodeId> vs, Cost* out);
@@ -105,53 +103,6 @@ class ChOracle : public DistanceOracle {
   ChQuery query_;
   ChManyToMany m2m_;
 };
-
-/// Memoizing decorator: caches (u,v) -> cost in a hash map. The wrapped
-/// oracle must outlive this one.
-class CachingOracle : public DistanceOracle {
- public:
-  explicit CachingOracle(DistanceOracle* base, size_t max_entries = 1 << 22);
-  Cost Distance(NodeId u, NodeId v) override;
-  /// Probes the cache per pair; the misses go to the base as one
-  /// element-wise batch and are then cached under the usual cap policy.
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override;
-  bool SupportsBatch() const override { return base_->SupportsBatch(); }
-  /// Clones the wrapped oracle (owning the clone) behind a fresh, empty
-  /// cache; nullptr when the base cannot clone.
-  std::unique_ptr<DistanceOracle> Clone() const override;
-
-  int64_t num_hits() const { return hits_; }
-  int64_t num_misses() const { return misses_; }
-  /// Current number of cached pairs (never exceeds max_entries).
-  size_t num_entries() const { return cache_.size(); }
-  size_t max_entries() const { return max_entries_; }
-
- private:
-  CachingOracle(std::unique_ptr<DistanceOracle> owned_base, size_t max_entries);
-
-  DistanceOracle* base_;
-  std::unique_ptr<DistanceOracle> owned_base_;  // set only for clones
-  size_t max_entries_;
-  std::unordered_map<uint64_t, Cost> cache_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-};
-
-/// Which oracle stack the experiment layer should build. Selected via
-/// ExperimentConfig::oracle, the URR_ORACLE env var, or `--oracle` on
-/// urr_dispatch.
-enum class OracleKind {
-  kDijkstra,  // "dijkstra": no preprocessing, ground truth
-  kCh,        // "ch": plain contraction hierarchy
-  kCachingCh, // "caching": CH behind a memoizing cache (default)
-  kHubLabel,  // "hl": 2-hop labels extracted from the CH
-};
-
-/// Parses "dijkstra" | "ch" | "caching" | "hl" (case-sensitive).
-Result<OracleKind> ParseOracleKind(const std::string& name);
-/// Inverse of ParseOracleKind.
-const char* OracleKindName(OracleKind kind);
 
 }  // namespace urr
 

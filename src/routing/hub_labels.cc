@@ -95,30 +95,6 @@ class HubLabelUpwardSearcher {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
 };
 
-namespace {
-
-/// min over common hubs of a.cost + b.cost; both sorted by hub ascending.
-Cost MergeJoinMin(const std::vector<LabelEntry>& a,
-                  const std::vector<LabelEntry>& b) {
-  Cost best = kInfiniteCost;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub < b[j].hub) {
-      ++i;
-    } else if (a[i].hub > b[j].hub) {
-      ++j;
-    } else {
-      const Cost sum = a[i].cost + b[j].cost;
-      if (sum < best) best = sum;
-      ++i;
-      ++j;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 Result<HubLabels> HubLabels::Build(const ContractionHierarchy& ch,
                                    ThreadPool* pool) {
   HubLabels hl;
@@ -151,7 +127,12 @@ Result<HubLabels> HubLabels::Build(const ContractionHierarchy& ch,
   // the exact descending-rank, forward-then-backward order of the serial
   // algorithm. The block size is a constant — never derived from the thread
   // count — so the labels are bit-identical at any parallelism level.
+  //
+  // The label being pruned also lives in `label_cost` (hub -> cost, infinite
+  // for hubs not in it), so each prune test is one scan of the opposite
+  // label; the kept entries are sorted by hub once the label is complete.
   constexpr int64_t kBlockNodes = 64;
+  std::vector<Cost> label_cost(static_cast<size_t>(n), kInfiniteCost);
   std::vector<std::vector<std::pair<NodeId, Cost>>> slot(
       static_cast<size_t>(kBlockNodes) * 2);
   for (int64_t base = 0; base < n; base += kBlockNodes) {
@@ -171,16 +152,26 @@ Result<HubLabels> HubLabels::Build(const ContractionHierarchy& ch,
         const auto& opposite = backward ? fwd : bwd;
         for (const auto& [h, d] : settled) {
           // Prune when the labels kept so far already connect v and h at no
-          // greater cost through a higher hub.
-          if (MergeJoinMin(mine, opposite[static_cast<size_t>(h)]) <= d) {
-            continue;
+          // greater cost through a higher hub: the minimum over their
+          // common hubs, read from the dense copy of v's label.
+          Cost best = kInfiniteCost;
+          for (const LabelEntry& e : opposite[static_cast<size_t>(h)]) {
+            const Cost c = label_cost[static_cast<size_t>(e.hub)];
+            if (c == kInfiniteCost) continue;
+            const Cost sum = c + e.cost;
+            if (sum < best) best = sum;
           }
-          mine.insert(std::upper_bound(mine.begin(), mine.end(), h,
-                                       [](NodeId key, const LabelEntry& e) {
-                                         return key < e.hub;
-                                       }),
-                      {h, d});
+          if (best <= d) continue;
+          label_cost[static_cast<size_t>(h)] = d;
+          mine.push_back({h, d});
         }
+        for (const LabelEntry& e : mine) {
+          label_cost[static_cast<size_t>(e.hub)] = kInfiniteCost;
+        }
+        std::sort(mine.begin(), mine.end(),
+                  [](const LabelEntry& a, const LabelEntry& b) {
+                    return a.hub < b.hub;
+                  });
       }
     }
   }
@@ -398,65 +389,6 @@ void HubLabelOracle::BatchDistances(std::span<const NodeId> sources,
 
 std::unique_ptr<DistanceOracle> HubLabelOracle::Clone() const {
   return std::make_unique<HubLabelOracle>(labels_);
-}
-
-Result<OracleStack> BuildOracleStack(const RoadNetwork& network,
-                                     OracleKind kind,
-                                     const ChOptions& options) {
-  OracleStack stack;
-  stack.kind = kind;
-  switch (kind) {
-    case OracleKind::kDijkstra:
-      stack.dijkstra = std::make_unique<DijkstraOracle>(network);
-      stack.active = stack.dijkstra.get();
-      break;
-    case OracleKind::kCh: {
-      URR_ASSIGN_OR_RETURN(stack.ch, ChOracle::Create(network, options));
-      stack.active = stack.ch.get();
-      break;
-    }
-    case OracleKind::kCachingCh: {
-      URR_ASSIGN_OR_RETURN(stack.ch, ChOracle::Create(network, options));
-      stack.caching = std::make_unique<CachingOracle>(stack.ch.get());
-      stack.active = stack.caching.get();
-      break;
-    }
-    case OracleKind::kHubLabel: {
-      URR_ASSIGN_OR_RETURN(stack.hub_labels,
-                           HubLabelOracle::Create(network, options));
-      stack.active = stack.hub_labels.get();
-      break;
-    }
-  }
-  return stack;
-}
-
-Result<OracleStack> OracleStackFromParts(const RoadNetwork& network,
-                                         ContractionHierarchy ch, HubLabels hl,
-                                         OracleKind kind) {
-  OracleStack stack;
-  stack.kind = kind;
-  switch (kind) {
-    case OracleKind::kDijkstra:
-      stack.dijkstra = std::make_unique<DijkstraOracle>(network);
-      stack.active = stack.dijkstra.get();
-      break;
-    case OracleKind::kCh:
-      stack.ch = ChOracle::FromHierarchy(std::move(ch));
-      stack.active = stack.ch.get();
-      break;
-    case OracleKind::kCachingCh:
-      stack.ch = ChOracle::FromHierarchy(std::move(ch));
-      stack.caching = std::make_unique<CachingOracle>(stack.ch.get());
-      stack.active = stack.caching.get();
-      break;
-    case OracleKind::kHubLabel:
-      stack.hub_labels = std::make_unique<HubLabelOracle>(
-          std::make_shared<const HubLabels>(std::move(hl)));
-      stack.active = stack.hub_labels.get();
-      break;
-  }
-  return stack;
 }
 
 }  // namespace urr

@@ -101,8 +101,10 @@ class HubLabels {
   std::vector<Cost> bwd_cost_;
 };
 
-/// Hub-label-backed oracle. The label store is shared immutably across
-/// clones, so Clone() is O(1) and the parallel evaluation path composes.
+/// Hub-label-backed oracle: the production distance oracle (experiment
+/// worlds, the CLIs and the server all route on it). The label store is
+/// shared immutably across clones, so Clone() is O(1) and the parallel
+/// evaluation path composes.
 class HubLabelOracle : public DistanceOracle {
  public:
   /// Builds a hierarchy for `network` (parallel when options.pool is set),
@@ -129,35 +131,6 @@ class HubLabelOracle : public DistanceOracle {
  private:
   std::shared_ptr<const HubLabels> labels_;
 };
-
-/// One fully-built routing stack plus the oracle solvers should use. The
-/// members not needed by `kind` stay null; `active` points into the struct
-/// (stable across moves — the pointees are heap-allocated).
-struct OracleStack {
-  OracleKind kind = OracleKind::kCachingCh;
-  std::unique_ptr<DijkstraOracle> dijkstra;
-  std::unique_ptr<ChOracle> ch;
-  std::unique_ptr<HubLabelOracle> hub_labels;
-  std::unique_ptr<CachingOracle> caching;
-  DistanceOracle* active = nullptr;
-};
-
-/// Builds the oracle stack for `kind`. kDijkstra keeps a reference to
-/// `network`, which must then outlive the stack; the CH/HL flavors keep no
-/// reference. When options.pool is set the CH contraction and the HL label
-/// extraction run on it (bit-identical to the serial build).
-Result<OracleStack> BuildOracleStack(const RoadNetwork& network,
-                                     OracleKind kind,
-                                     const ChOptions& options = {});
-
-/// Assembles the oracle stack for `kind` from already-built (typically
-/// snapshot-loaded) parts instead of re-running preprocessing. Same
-/// lifetime contract as BuildOracleStack: only kDijkstra keeps a reference
-/// to `network`. `ch` is consumed by the kCh/kCachingCh kinds and `hl` by
-/// kHubLabel; the parts a kind does not need may be empty.
-Result<OracleStack> OracleStackFromParts(const RoadNetwork& network,
-                                         ContractionHierarchy ch,
-                                         HubLabels hl, OracleKind kind);
 
 }  // namespace urr
 

@@ -42,8 +42,9 @@ inline constexpr uint32_t kSnapshotSectionGraph = 1;
 inline constexpr uint32_t kSnapshotSectionCh = 2;
 inline constexpr uint32_t kSnapshotSectionHubLabels = 3;
 
-/// Everything a routing stack needs, fully built: the network plus both
-/// preprocessing artifacts. Feed to OracleStackFromParts for any OracleKind.
+/// Everything the routing layer needs, fully built: the network plus both
+/// preprocessing artifacts. The experiment harness routes on the hub labels;
+/// the hierarchy serves `urr_index verify` and path expansion.
 struct IndexSnapshot {
   RoadNetwork network;
   ContractionHierarchy ch;

@@ -75,11 +75,6 @@ void AttachEvalStats(const SolverContext& ctx, SolutionMetrics* metrics) {
     metrics->elided_queries = ctx.counters->elided_queries.load();
     metrics->kernel_evals = ctx.counters->kernel_evals.load();
   }
-  if (const auto* caching = dynamic_cast<const CachingOracle*>(ctx.oracle)) {
-    metrics->oracle_hits = caching->num_hits();
-    metrics->oracle_misses = caching->num_misses();
-    metrics->oracle_entries = static_cast<int64_t>(caching->num_entries());
-  }
   if (const RetrievalStats* rs = ctx.retrieval_stats; rs != nullptr) {
     metrics->retrieval_riders = rs->riders.load();
     metrics->retrieval_candidates = rs->candidates.load();
@@ -159,10 +154,7 @@ std::string MetricsJson(const SolutionMetrics& m) {
       .Field("eval_cache_misses", m.eval_cache_misses)
       .Field("screened_pairs", m.screened_pairs)
       .Field("elided_queries", m.elided_queries)
-      .Field("kernel_evals", m.kernel_evals)
-      .Field("oracle_hits", m.oracle_hits)
-      .Field("oracle_misses", m.oracle_misses)
-      .Field("oracle_entries", m.oracle_entries);
+      .Field("kernel_evals", m.kernel_evals);
   w.Key("retrieval")
       .BeginObject()
       .Field("riders", m.retrieval_riders)

@@ -30,10 +30,6 @@ struct SolutionMetrics {
   int64_t screened_pairs = 0;   // pairs rejected by the Euclidean lower bound
   int64_t elided_queries = 0;   // oracle queries the bound made unnecessary
   int64_t kernel_evals = 0;     // exact insertion-kernel runs
-  /// Shared distance-cache stats (CachingOracle, when active; else 0).
-  int64_t oracle_hits = 0;
-  int64_t oracle_misses = 0;
-  int64_t oracle_entries = 0;
 
   /// Candidate-retrieval counters (filled by AttachEvalStats when the
   /// context carries RetrievalStats; 0 otherwise).
@@ -59,8 +55,8 @@ SolutionMetrics ComputeMetrics(const UrrInstance& instance,
                                const UrrSolution& solution);
 
 /// Copies the context's eval-path counters (eval cache, bound screening,
-/// kernel runs) and the shared CachingOracle's hit/miss/entry stats into
-/// `metrics`. Counters the context does not carry stay 0.
+/// kernel runs) and retrieval counters into `metrics`. Counters the context
+/// does not carry stay 0.
 void AttachEvalStats(const SolverContext& ctx, SolutionMetrics* metrics);
 
 /// Classifies every unserved rider with the shared online decision helper

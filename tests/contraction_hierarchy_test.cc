@@ -54,9 +54,7 @@ void ExpectDistanceEq(Cost got, Cost want, NodeId s, NodeId t) {
   }
 }
 
-class ChOrderTest : public ::testing::TestWithParam<ChOrderStrategy> {};
-
-TEST_P(ChOrderTest, MatchesDijkstraOnRandomGrid) {
+TEST(ChTest, MatchesDijkstraOnRandomGrid) {
   Rng rng(42);
   GridCityOptions opt;
   opt.width = 18;
@@ -65,9 +63,7 @@ TEST_P(ChOrderTest, MatchesDijkstraOnRandomGrid) {
   opt.arterial_fraction = 0.03;
   auto g = GenerateGridCity(opt, &rng);
   ASSERT_TRUE(g.ok());
-  ChOptions copt;
-  copt.order = GetParam();
-  auto ch = ContractionHierarchy::Build(*g, copt);
+  auto ch = ContractionHierarchy::Build(*g);
   ASSERT_TRUE(ch.ok());
   ChQuery q(*ch);
   DijkstraEngine ref(*g);
@@ -78,10 +74,9 @@ TEST_P(ChOrderTest, MatchesDijkstraOnRandomGrid) {
   }
 }
 
-TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
-  // Random sparse directed graph (no coordinate crutch for geometric order:
-  // kGeometric falls back to priority when coords are missing via kAuto, so
-  // build coords anyway but keep edges one-way).
+TEST(ChTest, MatchesDijkstraOnDirectedGraph) {
+  // Random sparse directed graph: one-way edges exercise the separate
+  // in/out overlay lists and the two CSR halves.
   Rng rng(43);
   const NodeId n = 120;
   std::vector<Edge> edges;
@@ -97,9 +92,7 @@ TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
   }
   auto g = RoadNetwork::Build(n, edges, coords);
   ASSERT_TRUE(g.ok());
-  ChOptions copt;
-  copt.order = GetParam();
-  auto ch = ContractionHierarchy::Build(*g, copt);
+  auto ch = ContractionHierarchy::Build(*g);
   ASSERT_TRUE(ch.ok());
   ChQuery q(*ch);
   DijkstraEngine ref(*g);
@@ -109,15 +102,6 @@ TEST_P(ChOrderTest, MatchesDijkstraOnDirectedGraph) {
     ExpectDistanceEq(q.Distance(s, t), ref.Distance(s, t), s, t);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Orders, ChOrderTest,
-                         ::testing::Values(ChOrderStrategy::kPriority,
-                                           ChOrderStrategy::kGeometric),
-                         [](const auto& info) {
-                           return info.param == ChOrderStrategy::kPriority
-                                      ? "Priority"
-                                      : "Geometric";
-                         });
 
 TEST(ChTest, PathUnpacksToOriginalEdges) {
   Rng rng(45);
@@ -200,14 +184,6 @@ TEST(ChTest, DisconnectedComponents) {
   EXPECT_EQ(q.Distance(0, 3), kInfiniteCost);
 }
 
-TEST(ChTest, RejectsBadOptions) {
-  auto g = RoadNetwork::Build(2, {{0, 1, 1}});
-  ASSERT_TRUE(g.ok());
-  ChOptions opt;
-  opt.witness_settle_limit = 0;
-  EXPECT_FALSE(ContractionHierarchy::Build(*g, opt).ok());
-}
-
 TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
   Rng rng(77);
   GridCityOptions opt;
@@ -255,9 +231,7 @@ TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
   auto q = RoadNetwork::Build(g->num_nodes(), std::move(edges), g->coords());
   ASSERT_TRUE(q.ok());
 
-  ChOptions options;
-  options.order = ChOrderStrategy::kParallelRounds;
-  auto ch = ContractionHierarchy::Build(*q, options);
+  auto ch = ContractionHierarchy::Build(*q);
   ASSERT_TRUE(ch.ok());
   ChQuery query(*ch);
   DijkstraEngine ref(*q);

@@ -1,7 +1,7 @@
 // Differential correctness of the DisruptionOverlay (DESIGN.md §10): every
 // answer it serves while disruptions are active must be bit-identical to an
-// exact Dijkstra run on the perturbed graph — across base oracle stacks
-// (dijkstra, CH, caching, hub labels), clones, and disrupt/restore cycles.
+// exact Dijkstra run on the perturbed graph — across base oracles
+// (Dijkstra, CH, hub labels), clones, and disrupt/restore cycles.
 #include "routing/disruption_overlay.h"
 
 #include <gtest/gtest.h>
@@ -127,18 +127,19 @@ TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverChBase) {
   CheckAgainstGroundTruth(g, ch->get(), 12);
 }
 
-TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverCachingBase) {
+TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverQueriedHubLabelBase) {
   const RoadNetwork g = MakeCity(9);
-  DijkstraOracle inner(g);
-  CachingOracle base(&inner);
-  // Warm the cache on the clean graph first: cached clean distances must
-  // never leak into perturbed answers.
+  auto base = HubLabelOracle::Create(g);
+  ASSERT_TRUE(base.ok()) << base.status();
+  // Query the base on the clean graph first: clean distances answered
+  // before a disruption must never leak into perturbed answers.
   Rng rng(5);
   for (int q = 0; q < 200; ++q) {
-    base.Distance(static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)),
-                  static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)));
+    (*base)->Distance(
+        static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)),
+        static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)));
   }
-  CheckAgainstGroundTruth(g, &base, 13);
+  CheckAgainstGroundTruth(g, base->get(), 13);
 }
 
 TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverHubLabelBase) {

@@ -35,97 +35,5 @@ TEST(DistanceOracleTest, ChOracleMatchesDijkstraOracle) {
   }
 }
 
-TEST(DistanceOracleTest, CachingOracleHitsOnRepeat) {
-  auto g = RoadNetwork::Build(3, {{0, 1, 2}, {1, 2, 3}});
-  ASSERT_TRUE(g.ok());
-  DijkstraOracle base(*g);
-  CachingOracle cached(&base);
-  EXPECT_DOUBLE_EQ(cached.Distance(0, 2), 5);
-  EXPECT_DOUBLE_EQ(cached.Distance(0, 2), 5);
-  EXPECT_DOUBLE_EQ(cached.Distance(0, 2), 5);
-  EXPECT_EQ(base.num_calls(), 1);
-  EXPECT_EQ(cached.num_hits(), 2);
-  EXPECT_EQ(cached.num_misses(), 1);
-}
-
-TEST(DistanceOracleTest, CachingOracleDistinguishesDirection) {
-  auto g = RoadNetwork::Build(2, {{0, 1, 2}});
-  ASSERT_TRUE(g.ok());
-  DijkstraOracle base(*g);
-  CachingOracle cached(&base);
-  EXPECT_DOUBLE_EQ(cached.Distance(0, 1), 2);
-  EXPECT_EQ(cached.Distance(1, 0), kInfiniteCost);
-  EXPECT_EQ(base.num_calls(), 2);  // (0,1) and (1,0) are different keys
-}
-
-TEST(DistanceOracleTest, CachingOracleFlushesAtCapacity) {
-  auto g = RoadNetwork::Build(4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}});
-  ASSERT_TRUE(g.ok());
-  DijkstraOracle base(*g);
-  CachingOracle cached(&base, /*max_entries=*/2);
-  cached.Distance(0, 1);
-  cached.Distance(0, 2);
-  cached.Distance(0, 3);  // triggers flush
-  cached.Distance(0, 1);  // miss again after flush
-  EXPECT_EQ(base.num_calls(), 4);
-}
-
-TEST(DistanceOracleTest, CachedValuesStayCorrect) {
-  Rng rng(52);
-  GridCityOptions opt;
-  opt.width = 10;
-  opt.height = 10;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  DijkstraOracle base(*g);
-  DijkstraOracle ref(*g);
-  CachingOracle cached(&base);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, 20));
-    EXPECT_DOUBLE_EQ(cached.Distance(s, t), ref.Distance(s, t));
-  }
-  EXPECT_GT(cached.num_hits(), 0);
-}
-
-// Adversarial stream of distinct pairs: the cache must honour max_entries at
-// every step (no unbounded growth), through both the scalar and the batched
-// query paths, while staying correct.
-TEST(DistanceOracleTest, CachingOracleNeverExceedsCapacity) {
-  Rng rng(53);
-  GridCityOptions opt;
-  opt.width = 12;
-  opt.height = 12;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  DijkstraOracle base(*g);
-  DijkstraOracle ref(*g);
-  CachingOracle cached(&base, /*max_entries=*/8);
-  EXPECT_EQ(cached.max_entries(), 8u);
-  const NodeId n = g->num_nodes();
-  for (int i = 0; i < 100; ++i) {
-    // Every pair distinct: all misses, worst case for the eviction policy.
-    const NodeId s = static_cast<NodeId>(i % n);
-    const NodeId t = static_cast<NodeId>((i * 37 + 11) % n);
-    EXPECT_DOUBLE_EQ(cached.Distance(s, t), ref.Distance(s, t));
-    EXPECT_LE(cached.num_entries(), cached.max_entries()) << "step " << i;
-  }
-  // Batched rectangles go through the same insert-with-flush policy.
-  std::vector<NodeId> sources, targets;
-  for (int i = 0; i < 9; ++i) {
-    sources.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
-    targets.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
-  }
-  std::vector<Cost> out(sources.size() * targets.size());
-  cached.BatchDistances(sources, targets, out.data());
-  EXPECT_LE(cached.num_entries(), cached.max_entries());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_DOUBLE_EQ(out[i * targets.size() + j],
-                       ref.Distance(sources[i], targets[j]));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace urr

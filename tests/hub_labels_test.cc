@@ -121,7 +121,6 @@ TEST(HubLabelsTest, BatchedRectanglesMatchScalarBitwise) {
   auto hl = HubLabelOracle::FromHierarchy((*ch)->hierarchy());
   ASSERT_TRUE(hl.ok());
   DijkstraOracle dij(net);
-  CachingOracle caching(ch->get());
 
   Rng rng(31);
   std::vector<NodeId> sources, targets;
@@ -135,8 +134,7 @@ TEST(HubLabelsTest, BatchedRectanglesMatchScalarBitwise) {
   targets[3] = sources[2];
   targets[11] = targets[4];
 
-  std::vector<DistanceOracle*> contenders = {&dij, ch->get(), hl->get(),
-                                             &caching};
+  std::vector<DistanceOracle*> contenders = {&dij, ch->get(), hl->get()};
   for (DistanceOracle* oracle : contenders) {
     ASSERT_TRUE(oracle->SupportsBatch());
     std::vector<Cost> batched(sources.size() * targets.size());
@@ -222,25 +220,6 @@ TEST(HubLabelsTest, LabelBytesIdenticalAcrossThreadCounts) {
         << "labels extracted with " << threads
         << " threads must be bit-identical to the serial extraction";
   }
-}
-
-TEST(OracleStackTest, BuildsEveryKindAndParsesNames) {
-  const RoadNetwork net = SmallCity(3, 8, 8);
-  for (const char* name : {"dijkstra", "ch", "caching", "hl"}) {
-    auto kind = ParseOracleKind(name);
-    ASSERT_TRUE(kind.ok()) << name;
-    EXPECT_STREQ(OracleKindName(*kind), name);
-    auto stack = BuildOracleStack(net, *kind);
-    ASSERT_TRUE(stack.ok()) << name;
-    ASSERT_NE(stack->active, nullptr) << name;
-    EXPECT_GE(stack->active->Distance(0, 1), 0) << name;
-  }
-  EXPECT_FALSE(ParseOracleKind("bogus").ok());
-  // The caching stack exposes its CH for benches that need the hierarchy.
-  auto stack = BuildOracleStack(net, OracleKind::kCachingCh);
-  ASSERT_TRUE(stack.ok());
-  EXPECT_NE(stack->ch, nullptr);
-  EXPECT_EQ(stack->active, stack->caching.get());
 }
 
 }  // namespace

@@ -3,21 +3,23 @@
 // must produce a byte-identical solution with 1, 2 and 8 evaluation
 // threads: same assignment vector, same stop sequences, same total utility
 // and travel cost down to the last bit. Covered on generator city graphs
-// (via the experiment harness, CachingOracle over CH) and on grid graphs
-// (hand-built world, DijkstraOracle, AttachThreadPool wiring), across
-// varying capacities and deadline ranges.
+// (via the experiment harness, hub labels) and on grid graphs (hand-built
+// world, DijkstraOracle, AttachThreadPool wiring), across varying
+// capacities and deadline ranges.
 //
 // Oracle differential: on quantized-cost grids (every edge cost a multiple
 // of 1/256, so path sums are exact in double arithmetic) the same solves
-// must also be byte-identical across the dijkstra | ch | caching | hl
-// oracle stacks, and the harness cities must stay thread-invariant under
-// `oracle = "hl"`.
+// under hub labels and under the CH must also be byte-identical to the
+// Dijkstra reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/harness.h"
 #include "graph/generators.h"
@@ -109,7 +111,7 @@ const std::vector<Variant>& AllVariants() {
   return kAll;
 }
 
-// --- Harness-built generator cities (CachingOracle over CH). ---------------
+// --- Harness-built generator cities (hub labels). ---------------------------
 
 /// One full solve on a freshly built world (fresh rng state for every
 /// thread count, so the only varying input is the pool size).
@@ -120,8 +122,8 @@ std::string RunOnWorld(ExperimentConfig cfg, Variant v, int threads) {
   if (!world_or.ok()) return "";
   auto world = *std::move(world_or);
   if (threads > 1) {
-    // The harness must actually have wired the pool (CachingOracle over a
-    // ChOracle is cloneable); otherwise the test would compare serial runs.
+    // The harness must actually have wired the pool (the hub-label oracle
+    // is cloneable); otherwise the test would compare serial runs.
     EXPECT_NE(world->Context().eval_pool(), nullptr);
   }
   SolverContext ctx = world->Context();
@@ -361,20 +363,38 @@ TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossEvalToggles) {
 
 // --- Cross-oracle differential on quantized costs. -------------------------
 
-/// Solve on a quantized grid world under an explicitly chosen oracle stack.
+/// Builds the oracle a quantized-grid solve routes on.
+using OracleFactory = std::unique_ptr<DistanceOracle> (*)(const RoadNetwork&);
+
+std::unique_ptr<DistanceOracle> MakeDijkstra(const RoadNetwork& g) {
+  return std::make_unique<DijkstraOracle>(g);
+}
+
+std::unique_ptr<DistanceOracle> MakeCh(const RoadNetwork& g) {
+  auto ch = ChOracle::Create(g);
+  EXPECT_TRUE(ch.ok()) << ch.status();
+  return ch.ok() ? *std::move(ch) : nullptr;
+}
+
+std::unique_ptr<DistanceOracle> MakeHubLabels(const RoadNetwork& g) {
+  auto hl = HubLabelOracle::Create(g);
+  EXPECT_TRUE(hl.ok()) << hl.status();
+  return hl.ok() ? *std::move(hl) : nullptr;
+}
+
+/// Solve on a quantized grid world under the oracle `make` builds.
 /// Instance generation always uses the world's DijkstraOracle, so the
-/// instance is byte-identical regardless of which stack solves it.
+/// instance is byte-identical regardless of which oracle solves it.
 std::string RunOnQuantizedGrid(uint64_t seed, int riders, int vehicles,
                                int capacity, Cost deadline_lo,
-                               Cost deadline_hi, Variant v, OracleKind kind,
+                               Cost deadline_hi, Variant v, OracleFactory make,
                                int threads) {
   auto w = MakeGridWorld(seed, riders, vehicles, capacity, deadline_lo,
                          deadline_hi, /*quantize=*/true);
-  auto stack = BuildOracleStack(w->network, kind);
-  EXPECT_TRUE(stack.ok()) << stack.status();
-  if (!stack.ok()) return "";
+  std::unique_ptr<DistanceOracle> oracle = make(w->network);
+  if (oracle == nullptr) return "";
   SolverContext ctx;
-  ctx.oracle = stack->active;
+  ctx.oracle = oracle.get();
   ctx.model = w->model.get();
   ctx.vehicle_index = w->index.get();
   ctx.rng = &w->rng;
@@ -383,7 +403,7 @@ std::string RunOnQuantizedGrid(uint64_t seed, int riders, int vehicles,
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
     AttachThreadPool(&ctx, pool.get());
-    EXPECT_NE(ctx.eval_pool(), nullptr) << OracleKindName(kind);
+    EXPECT_NE(ctx.eval_pool(), nullptr);
   }
   GbsOptions gbs;
   gbs.k = 3;
@@ -393,11 +413,11 @@ std::string RunOnQuantizedGrid(uint64_t seed, int riders, int vehicles,
   return Fingerprint(sol, *w->model);
 }
 
-// The tentpole's exactness claim, end to end: with quantized edge costs the
-// whole solver output — assignment, stops, utility and cost bits — is
-// identical whichever oracle stack answers the distance queries, serial or
-// batched, at any thread count.
-TEST(ParallelDifferentialTest, QuantizedGridsIdenticalAcrossOracleKinds) {
+// The exactness claim, end to end: with quantized edge costs the whole
+// solver output — assignment, stops, utility and cost bits — under hub
+// labels (production) and under the CH is identical to the Dijkstra
+// reference, serial or batched, at any thread count.
+TEST(ParallelDifferentialTest, QuantizedGridsHubLabelsAndChMatchDijkstra) {
   struct Scenario {
     uint64_t seed;
     int riders, vehicles, capacity;
@@ -407,39 +427,25 @@ TEST(ParallelDifferentialTest, QuantizedGridsIdenticalAcrossOracleKinds) {
       {11, 40, 8, 3, 200, 2000},
       {23, 35, 7, 2, 100, 800},
   };
+  const std::vector<std::pair<const char*, OracleFactory>> contenders = {
+      {"ch", &MakeCh}, {"hub labels", &MakeHubLabels}};
   for (const Scenario& s : scenarios) {
     for (Variant v : AllVariants()) {
       SCOPED_TRACE(std::string(VariantName(v)) + " seed=" +
                    std::to_string(s.seed));
       const std::string want =
           RunOnQuantizedGrid(s.seed, s.riders, s.vehicles, s.capacity,
-                             s.deadline_lo, s.deadline_hi, v,
-                             OracleKind::kDijkstra, 1);
+                             s.deadline_lo, s.deadline_hi, v, &MakeDijkstra, 1);
       ASSERT_FALSE(want.empty());
-      for (OracleKind kind : {OracleKind::kCh, OracleKind::kCachingCh,
-                              OracleKind::kHubLabel}) {
-        SCOPED_TRACE(OracleKindName(kind));
+      for (const auto& [name, make] : contenders) {
+        SCOPED_TRACE(name);
         EXPECT_EQ(want, RunOnQuantizedGrid(s.seed, s.riders, s.vehicles,
                                            s.capacity, s.deadline_lo,
-                                           s.deadline_hi, v, kind, 1));
+                                           s.deadline_hi, v, make, 1));
         EXPECT_EQ(want, RunOnQuantizedGrid(s.seed, s.riders, s.vehicles,
                                            s.capacity, s.deadline_lo,
-                                           s.deadline_hi, v, kind, 8));
+                                           s.deadline_hi, v, make, 8));
       }
-    }
-  }
-}
-
-// The harness cities stay thread-invariant when the hub-label stack answers
-// all distance queries (batched wave evaluation included).
-TEST(ParallelDifferentialTest, CityWorldsThreadInvariantUnderHubLabels) {
-  for (CityScenario scenario : CityScenarios()) {
-    scenario.cfg.oracle = "hl";
-    for (Variant v : AllVariants()) {
-      SCOPED_TRACE(std::string(scenario.name) + " / hl / " + VariantName(v));
-      const std::string serial = RunOnWorld(scenario.cfg, v, 1);
-      ASSERT_FALSE(serial.empty());
-      EXPECT_EQ(serial, RunOnWorld(scenario.cfg, v, 8));
     }
   }
 }
@@ -468,7 +474,7 @@ TEST(ParallelDifferentialTest, IndexSnapshotBytesIdenticalAcrossThreadCounts) {
 }
 
 // Full-pipeline differential for the snapshot load path: a harness world
-// whose oracle stack comes from a loaded .urrx file must solve to the same
+// whose oracle comes from a loaded .urrx file must solve to the same
 // bits as one that rebuilt the preprocessing from scratch, serial and
 // parallel.
 TEST(ParallelDifferentialTest, SnapshotLoadedWorldsIdenticalToFreshBuild) {

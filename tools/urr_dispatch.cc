@@ -49,7 +49,6 @@ struct Options {
   double deadline_min_minutes = 10;
   double deadline_max_minutes = 30;
   std::string approach = "ba";
-  std::string oracle;  // "" = URR_ORACLE env (default "caching")
   uint64_t seed = 42;
   int threads = 0;  // 0 = URR_THREADS env, 1 = serial
   std::string out_path;
@@ -78,9 +77,6 @@ instance:
 
 solver:
   --approach cf|eg|ba|gbs-eg|gbs-ba|online
-  --oracle dijkstra|ch|caching|hl   distance oracle stack (default: the
-                          URR_ORACLE env var, then "caching" = CH + memo
-                          cache; "hl" = hub labels with batched evaluation)
   --seed S
   --threads T             evaluation threads (0 = URR_THREADS env, 1 = serial;
                           the solution is identical for every T)
@@ -99,7 +95,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       {"--network", &opt.network_path}, {"--coords", &opt.coords_path},
       {"--city", &opt.city},            {"--trips", &opt.trips_path},
       {"--approach", &opt.approach},    {"--out", &opt.out_path},
-      {"--oracle", &opt.oracle},
   };
   std::map<std::string, double*> doubles = {
       {"--alpha", &opt.alpha},
@@ -185,14 +180,10 @@ Status Run(const Options& opt) {
 
   // --- Routing oracle. --------------------------------------------------------
   Stopwatch prep;
-  const std::string oracle_name =
-      opt.oracle.empty() ? OracleName() : opt.oracle;
-  URR_ASSIGN_OR_RETURN(OracleKind oracle_kind, ParseOracleKind(oracle_name));
-  URR_ASSIGN_OR_RETURN(OracleStack stack,
-                       BuildOracleStack(network, oracle_kind));
-  DistanceOracle& oracle = *stack.active;
-  std::printf("%s oracle built in %.2fs\n", OracleKindName(oracle_kind),
-              prep.ElapsedSeconds());
+  URR_ASSIGN_OR_RETURN(std::unique_ptr<HubLabelOracle> labels,
+                       HubLabelOracle::Create(network));
+  DistanceOracle& oracle = *labels;
+  std::printf("hub-label oracle built in %.2fs\n", prep.ElapsedSeconds());
 
   // --- Social substrate. -------------------------------------------------------
   SocialGenOptions sopt;

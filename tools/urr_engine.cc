@@ -42,7 +42,6 @@ struct Options {
   double cancel_fraction = 0;  // share of riders that request cancellation
   double cancel_delay = 60;    // mean seconds from arrival to the request
   int max_queue = 0;           // admission control; 0 = unbounded
-  std::string oracle;          // "" = URR_ORACLE env
   std::string index_path;      // load CH/HL from this .urrx snapshot
   uint64_t seed = 42;
   int threads = 0;             // 0 = URR_THREADS env
@@ -80,8 +79,7 @@ world:
                           edge-cost quantum (matches urr_index build)
   --riders M --vehicles N --capacity C
   --deadline-min MIN --deadline-max MIN   pickup deadline range (minutes)
-  --oracle dijkstra|ch|caching|hl         distance oracle stack
-  --index FILE            load the CH + hub labels from a .urrx snapshot
+  --index FILE            load the hub labels from a .urrx snapshot
                           (build one with urr_index; must match the world's
                           network — queries are bitwise identical to a
                           fresh build, checkpoints record its checksum)
@@ -140,7 +138,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
   std::map<std::string, std::string*> strings = {
       {"--city", &opt.city},
       {"--solver", &opt.solver},
-      {"--oracle", &opt.oracle},
       {"--index", &opt.index_path},
       {"--log", &opt.log_path},
       {"--expect-log", &opt.expect_log_path},
@@ -293,7 +290,6 @@ Status Run(const Options& opt) {
   cfg.capacity = opt.capacity;
   cfg.rt_min_minutes = opt.deadline_min_minutes;
   cfg.rt_max_minutes = opt.deadline_max_minutes;
-  cfg.oracle = opt.oracle;
   cfg.index_snapshot = opt.index_path;
   cfg.seed = opt.seed;
   cfg.num_threads = opt.threads;

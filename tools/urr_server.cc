@@ -41,7 +41,6 @@ struct Options {
   int capacity = 3;
   double deadline_min_minutes = 10;
   double deadline_max_minutes = 30;
-  std::string oracle;
   std::string index_path;
   uint64_t seed = 42;
   int threads = 0;
@@ -94,8 +93,7 @@ world (same flags as urr_engine; both build the identical workload):
                           the golden fixture's recipe these match
                           tests/data/golden.urrx exactly
   --deadline-min MIN --deadline-max MIN
-  --oracle dijkstra|ch|caching|hl
-  --index FILE            cold-start the routing stack from a .urrx snapshot
+  --index FILE            cold-start the distance oracle from a .urrx snapshot
   --seed S --threads T
 
 workload (recorded schedule; clients replay or ignore it):
@@ -155,7 +153,7 @@ Result<Options> ParseArgs(int argc, char** argv) {
   Options opt;
   std::map<std::string, std::string*> strings = {
       {"--city", &opt.city},       {"--solver", &opt.solver},
-      {"--oracle", &opt.oracle},   {"--index", &opt.index_path},
+      {"--index", &opt.index_path},
       {"--socket", &opt.socket_path}, {"--port-file", &opt.port_file},
       {"--log", &opt.log_path},       {"--journal", &opt.journal_dir},
       {"--recover", &opt.recover_dir},
@@ -265,7 +263,6 @@ Status Run(const Options& opt) {
   cfg.capacity = opt.capacity;
   cfg.rt_min_minutes = opt.deadline_min_minutes;
   cfg.rt_max_minutes = opt.deadline_max_minutes;
-  cfg.oracle = opt.oracle;
   cfg.index_snapshot = opt.index_path;
   cfg.seed = opt.seed;
   cfg.num_threads = opt.threads;
