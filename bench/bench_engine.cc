@@ -45,6 +45,7 @@ int main() {
   };
   const double fault_window = GetEnvDouble("URR_BENCH_FAULT_WINDOW", 30);
 
+  const std::string provenance = ProvenanceFields();
   const std::string out_path =
       GetEnvString("URR_BENCH_ENGINE_JSON", "BENCH_engine.json");
   std::FILE* out = std::fopen(out_path.c_str(), "a");
@@ -93,7 +94,7 @@ int main() {
                                       4)});
       std::fprintf(
           out,
-          "{\"bench\":\"engine\",\"solver\":\"%s\",\"arrival_rate\":%.17g,"
+          "{\"bench\":\"engine\",%s,\"solver\":\"%s\",\"arrival_rate\":%.17g,"
           "\"window\":%.17g,\"arrived\":%d,\"accepted\":%d,\"expired\":%d,"
           "\"rejected\":%d,\"booked_utility\":%.17g,\"driven_cost\":%.17g,"
           "\"num_windows\":%d,\"pickup_wait_p95\":%.17g,"
@@ -104,7 +105,8 @@ int main() {
           "\"breakdowns\":0,\"no_shows\":0,\"disruptions\":0,"
           "\"redispatched\":0,\"abandoned\":0,\"overlay_fallbacks\":0,"
           "\"seed\":%llu}\n",
-          WindowSolverName(ecfg.solver), rate, w, m.total_arrivals,
+          provenance.c_str(), WindowSolverName(ecfg.solver), rate, w,
+          m.total_arrivals,
           m.total_accepted, m.total_expired, m.total_rejected,
           m.booked_utility, m.driven_cost, static_cast<int>(m.windows.size()),
           Percentile(m.pickup_waits, 95), Percentile(m.solve_latencies, 95),
@@ -160,7 +162,7 @@ int main() {
            std::to_string(m.overlay_fallbacks)});
       std::fprintf(
           out,
-          "{\"bench\":\"engine\",\"solver\":\"%s\",\"arrival_rate\":%.17g,"
+          "{\"bench\":\"engine\",%s,\"solver\":\"%s\",\"arrival_rate\":%.17g,"
           "\"window\":%.17g,\"arrived\":%d,\"accepted\":%d,\"expired\":%d,"
           "\"rejected\":%d,\"booked_utility\":%.17g,\"driven_cost\":%.17g,"
           "\"num_windows\":%d,\"pickup_wait_p95\":%.17g,"
@@ -169,7 +171,8 @@ int main() {
           "\"edge_faults\":%d,\"breakdowns\":%d,\"no_shows\":%d,"
           "\"disruptions\":%d,\"redispatched\":%d,\"abandoned\":%d,"
           "\"overlay_fallbacks\":%lld,\"seed\":%llu}\n",
-          WindowSolverName(ecfg.solver), wopt.arrival_rate, fault_window,
+          provenance.c_str(), WindowSolverName(ecfg.solver),
+          wopt.arrival_rate, fault_window,
           m.total_arrivals, m.total_accepted, m.total_expired,
           m.total_rejected, m.booked_utility, m.driven_cost,
           static_cast<int>(m.windows.size()),

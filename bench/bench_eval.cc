@@ -62,6 +62,7 @@ int main() {
 
   const int passes =
       static_cast<int>(GetEnvInt("URR_BENCH_EVAL_PASSES", 5));
+  const std::string provenance = ProvenanceFields();
   const std::string out_path =
       GetEnvString("URR_BENCH_EVAL_JSON", "BENCH_eval.json");
   std::FILE* out = std::fopen(out_path.c_str(), "a");
@@ -101,8 +102,8 @@ int main() {
   TablePrinter table({"scenario", "config", "pairs/s", "speedup", "hits",
                       "misses", "screened", "elided", "kernel evals",
                       "seq copies"});
-  // Untimed warm-up: fills the distance-oracle cache so the first timed
-  // configuration isn't charged for cold shortest-path queries.
+  // Untimed warm-up: touches the labels and per-worker scratch so the first
+  // timed configuration isn't charged for cold memory.
   {
     SolverContext warm = (*world)->Context();
     (void)EvaluateCandidates((*world)->instance, &warm, sol, pairs, true);
@@ -156,13 +157,14 @@ int main() {
                     std::to_string(copies)});
       std::fprintf(
           out,
-          "{\"bench\":\"eval\",\"scenario\":\"%s\",\"config\":\"%s\","
+          "{\"bench\":\"eval\",%s,\"scenario\":\"%s\",\"config\":\"%s\","
           "\"pairs\":%zu,\"passes\":%d,\"seconds\":%.17g,"
           "\"pairs_per_sec\":%.17g,\"speedup_vs_baseline\":%.17g,"
           "\"cache_hits\":%llu,\"cache_misses\":%llu,"
           "\"screened_pairs\":%llu,\"elided_queries\":%llu,"
           "\"kernel_evals\":%llu,\"seq_copies\":%llu,\"seed\":%llu}\n",
-          scenario, c.name, pairs.size(), passes, seconds, rate,
+          provenance.c_str(), scenario, c.name, pairs.size(), passes,
+          seconds, rate,
           rate / baseline_rate,
           static_cast<unsigned long long>(counters.cache_hits.load()),
           static_cast<unsigned long long>(counters.cache_misses.load()),

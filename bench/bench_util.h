@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "common/env.h"
 #include "exp/harness.h"
@@ -56,6 +57,19 @@ inline void Banner(const std::string& title, const ExperimentConfig& cfg) {
       cfg.city_nodes, cfg.num_riders, cfg.num_vehicles, cfg.rt_min_minutes,
       cfg.rt_max_minutes, cfg.capacity, cfg.alpha, cfg.beta, cfg.epsilon,
       static_cast<unsigned long long>(cfg.seed), BenchScale());
+}
+
+/// The machine and build a BENCH_*.json row came from, as JSON object
+/// members without braces: commit, nproc, build type, evaluation threads
+/// (URR_THREADS) and URR_BENCH_SCALE.
+inline std::string ProvenanceFields() {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "\"commit\":\"%s\",\"nproc\":%u,\"build_type\":\"%s\","
+                "\"threads\":%d,\"scale\":%g",
+                URR_GIT_COMMIT, std::thread::hardware_concurrency(),
+                URR_BUILD_TYPE, NumThreads(), BenchScale());
+  return buf;
 }
 
 /// Runs a sweep, prints the paper-style tables and optionally dumps CSV to

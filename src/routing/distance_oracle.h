@@ -40,8 +40,9 @@ class DistanceOracle {
                              std::span<const NodeId> vs, Cost* out);
 
   /// True when BatchDistances genuinely amortizes work across the
-  /// rectangle; callers use it to decide whether collecting a wave's node
-  /// pairs up front is worth the bookkeeping.
+  /// rectangle. No solver reads it (evaluation queries each worker's
+  /// oracle directly); it stays only because the benchmark's timing
+  /// decorator (perfbench/src/bench.h) overrides it.
   virtual bool SupportsBatch() const { return false; }
 
   /// An independent query context over the same network, for use from

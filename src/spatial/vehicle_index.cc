@@ -6,7 +6,8 @@ namespace urr {
 
 VehicleIndex::VehicleIndex(const RoadNetwork& network,
                            const std::vector<NodeId>& locations)
-    : network_(network), engine_(network), location_(locations) {
+    : network_(network), location_(locations) {
+  ReserveWorkers(1);
   for (size_t j = 0; j < locations.size(); ++j) {
     by_node_[locations[j]].push_back(static_cast<int>(j));
   }
@@ -24,15 +25,21 @@ void VehicleIndex::Update(int vehicle, NodeId node) {
   by_node_[node].push_back(vehicle);
 }
 
-std::vector<VehicleWithDistance> VehicleIndex::VehiclesWithinCost(NodeId target,
-                                                                  Cost radius) {
+void VehicleIndex::ReserveWorkers(int n) {
+  while (engines_.size() < static_cast<size_t>(n)) {
+    engines_.push_back(std::make_unique<DijkstraEngine>(network_));
+  }
+}
+
+std::vector<VehicleWithDistance> VehicleIndex::VehiclesWithinCost(
+    NodeId target, Cost radius, int worker) {
   std::vector<VehicleWithDistance> out;
-  engine_.Explore(target, radius, /*reverse=*/true,
-                  [&](NodeId v, Cost d) {
-                    auto it = by_node_.find(v);
-                    if (it == by_node_.end()) return;
-                    for (int vehicle : it->second) out.push_back({vehicle, d});
-                  });
+  engines_[static_cast<size_t>(worker)]->Explore(
+      target, radius, /*reverse=*/true, [&](NodeId v, Cost d) {
+        auto it = by_node_.find(v);
+        if (it == by_node_.end()) return;
+        for (int vehicle : it->second) out.push_back({vehicle, d});
+      });
   return out;
 }
 

@@ -5,6 +5,7 @@
 #ifndef URR_SPATIAL_VEHICLE_INDEX_H_
 #define URR_SPATIAL_VEHICLE_INDEX_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -31,8 +32,16 @@ class VehicleIndex {
 
   /// All vehicles whose travel cost *to* `target` is at most `radius`
   /// (i.e. cost(l(c_j), target) <= radius), with exact network distances.
-  /// One bounded reverse Dijkstra, independent of the number of vehicles.
-  std::vector<VehicleWithDistance> VehiclesWithinCost(NodeId target, Cost radius);
+  /// One bounded reverse Dijkstra, independent of the number of vehicles,
+  /// on worker `worker`'s own engine: calls with distinct worker ids below
+  /// ReserveWorkers() may run concurrently (no Update in between).
+  std::vector<VehicleWithDistance> VehiclesWithinCost(NodeId target,
+                                                      Cost radius,
+                                                      int worker = 0);
+
+  /// Gives worker ids [0, n) a Dijkstra engine each. Not thread-safe: call
+  /// before fanning retrievals out. Worker 0 always has one.
+  void ReserveWorkers(int n);
 
   /// Number of indexed vehicles.
   int num_vehicles() const { return static_cast<int>(location_.size()); }
@@ -44,7 +53,7 @@ class VehicleIndex {
 
  private:
   const RoadNetwork& network_;
-  DijkstraEngine engine_;
+  std::vector<std::unique_ptr<DijkstraEngine>> engines_;  // per worker id
   std::vector<NodeId> location_;
   std::unordered_map<NodeId, std::vector<int>> by_node_;
 };

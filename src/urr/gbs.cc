@@ -84,31 +84,12 @@ Status GbsArrange(const UrrInstance& instance, SolverContext* ctx,
   const Cost short_threshold = pre.d_max * static_cast<Cost>(pre.k);
   const int64_t num_subset = static_cast<int64_t>(riders.size());
   std::vector<Cost> direct_cost(riders.size());
-  DistanceOracle* classify_oracle =
-      ctx->worker_oracle(ThreadPool::CurrentWorker());
-  if (classify_oracle != nullptr && classify_oracle->SupportsBatch() &&
-      !riders.empty()) {
-    // One element-wise batch answers every rider's direct distance with the
-    // exact per-pair values, so grouping is unchanged.
-    std::vector<NodeId> sources, destinations;
-    sources.reserve(riders.size());
-    destinations.reserve(riders.size());
-    for (RiderId i : riders) {
-      const Rider& r = instance.riders[static_cast<size_t>(i)];
-      sources.push_back(r.source);
-      destinations.push_back(r.destination);
-    }
-    classify_oracle->BatchPairwise(sources, destinations, direct_cost.data());
-  } else {
-    ParallelFor(ctx->eval_pool(), num_subset,
-                [&](int64_t k, int worker) {
-                  const Rider& r = instance.riders[static_cast<size_t>(
-                      riders[static_cast<size_t>(k)])];
-                  direct_cost[static_cast<size_t>(k)] =
-                      ctx->worker_oracle(worker)->Distance(r.source,
-                                                           r.destination);
-                });
-  }
+  ParallelFor(ctx->eval_pool(), num_subset, [&](int64_t k, int worker) {
+    const Rider& r =
+        instance.riders[static_cast<size_t>(riders[static_cast<size_t>(k)])];
+    direct_cost[static_cast<size_t>(k)] =
+        ctx->worker_oracle(worker)->Distance(r.source, r.destination);
+  });
   std::vector<std::vector<RiderId>> groups(
       static_cast<size_t>(pre.areas.num_areas()));
   std::vector<RiderId> long_trips;  // g_0

@@ -31,10 +31,17 @@ DispatchDecision EvaluateArrival(const UrrInstance& instance,
     best.reason = RejectReason::kNoReachableVehicle;
     return best;
   }
+  // Score every candidate in one fan-out, then reduce in candidate order so
+  // the decision is the serial loop's for any pool size.
+  std::vector<RiderVehiclePair> pairs;
+  pairs.reserve(valid.size());
+  for (int j : valid) pairs.push_back({rider, j});
+  const std::vector<CandidateEval> evals =
+      EvaluateCandidates(instance, ctx, sol, pairs, need_utility);
   bool any_capacity_blocked = false;
-  for (int j : valid) {
-    const CandidateEval eval =
-        EvaluateCandidate(instance, ctx, sol, rider, j, need_utility);
+  for (size_t k = 0; k < valid.size(); ++k) {
+    const int j = valid[k];
+    const CandidateEval& eval = evals[k];
     if (!eval.feasible) {
       any_capacity_blocked |= eval.capacity_blocked;
       continue;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/scratch.h"
 #include "common/stopwatch.h"
@@ -126,134 +125,6 @@ CandidateEval EvaluateWithContext(const UrrInstance& instance,
   return eval;
 }
 
-uint64_t PairKey(NodeId u, NodeId v) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-         static_cast<uint64_t>(static_cast<uint32_t>(v));
-}
-
-/// Serves a wave's distance queries from the prefetched table; anything
-/// outside the predicted footprint falls through to the worker's own
-/// oracle. Table values come from the same oracle family, so the answers
-/// are identical either way.
-class PrefetchedOracle : public DistanceOracle {
- public:
-  PrefetchedOracle(const std::unordered_map<uint64_t, Cost>* table,
-                   DistanceOracle* fallback)
-      : table_(table), fallback_(fallback) {}
-
-  Cost Distance(NodeId u, NodeId v) override {
-    ++num_calls_;
-    auto it = table_->find(PairKey(u, v));
-    if (it != table_->end()) return it->second;
-    return fallback_->Distance(u, v);
-  }
-
- private:
-  const std::unordered_map<uint64_t, Cost>* table_;
-  DistanceOracle* fallback_;
-};
-
-/// Skip prefetching when the predicted footprint would not fit a sane
-/// table; the wave then runs on per-pair queries as before.
-constexpr size_t kMaxPrefetchEntries = size_t{1} << 22;
-
-/// Predicts every distance the wave's insertions can ask for and fetches
-/// them in a few many-to-many batches. Per candidate vehicle j the
-/// footprint closes over N_j (start + stop locations, covering all
-/// consecutive-leg rebuilds and the scheduled riders' direct distances) and
-/// D_j (the wave's rider endpoints): (N_j ∪ D_j) × N_j plus N_j × D_j, plus
-/// each wave rider's direct (source, destination) pair. Returns false (no
-/// table) when the footprint exceeds kMaxPrefetchEntries.
-bool PrefetchWaveDistances(const UrrInstance& instance, const UrrSolution& sol,
-                           const std::vector<RiderVehiclePair>& pairs,
-                           DistanceOracle* oracle,
-                           std::unordered_map<uint64_t, Cost>* table) {
-  std::vector<std::vector<RiderId>> by_vehicle(sol.schedules.size());
-  std::vector<int> touched;
-  std::vector<RiderId> wave_riders;
-  std::vector<bool> rider_seen(static_cast<size_t>(instance.num_riders()),
-                               false);
-  for (const RiderVehiclePair& p : pairs) {
-    if (p.rider < 0 || p.vehicle < 0 ||
-        static_cast<size_t>(p.vehicle) >= by_vehicle.size()) {
-      continue;
-    }
-    auto& list = by_vehicle[static_cast<size_t>(p.vehicle)];
-    if (list.empty()) touched.push_back(p.vehicle);
-    list.push_back(p.rider);
-    if (!rider_seen[static_cast<size_t>(p.rider)]) {
-      rider_seen[static_cast<size_t>(p.rider)] = true;
-      wave_riders.push_back(p.rider);
-    }
-  }
-
-  struct VehicleFootprint {
-    std::vector<NodeId> sched;  // N_j: start + stop locations
-    std::vector<NodeId> ends;   // D_j: candidate rider endpoints
-    std::vector<NodeId> rows;   // N_j ∪ D_j
-  };
-  auto sort_unique = [](std::vector<NodeId>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  std::vector<VehicleFootprint> foot(touched.size());
-  size_t total = wave_riders.size();
-  for (size_t idx = 0; idx < touched.size(); ++idx) {
-    const int j = touched[idx];
-    const TransferSequence& seq = sol.schedules[static_cast<size_t>(j)];
-    VehicleFootprint& f = foot[idx];
-    f.sched.push_back(seq.start_location());
-    for (int u = 0; u < seq.num_stops(); ++u) {
-      f.sched.push_back(seq.stop(u).location);
-    }
-    sort_unique(&f.sched);
-    for (const RiderId i : by_vehicle[static_cast<size_t>(j)]) {
-      const Rider& r = instance.riders[static_cast<size_t>(i)];
-      f.ends.push_back(r.source);
-      f.ends.push_back(r.destination);
-    }
-    sort_unique(&f.ends);
-    f.rows = f.sched;
-    f.rows.insert(f.rows.end(), f.ends.begin(), f.ends.end());
-    sort_unique(&f.rows);
-    total += f.rows.size() * f.sched.size() + f.sched.size() * f.ends.size();
-  }
-  if (total > kMaxPrefetchEntries) return false;
-
-  table->reserve(total);
-  std::vector<Cost> buf;
-  auto fetch = [&](std::span<const NodeId> srcs, std::span<const NodeId> dsts) {
-    if (srcs.empty() || dsts.empty()) return;
-    buf.resize(srcs.size() * dsts.size());
-    oracle->BatchDistances(srcs, dsts, buf.data());
-    for (size_t a = 0; a < srcs.size(); ++a) {
-      for (size_t b = 0; b < dsts.size(); ++b) {
-        table->emplace(PairKey(srcs[a], dsts[b]), buf[a * dsts.size() + b]);
-      }
-    }
-  };
-  for (const VehicleFootprint& f : foot) {
-    fetch(f.rows, f.sched);
-    fetch(f.sched, f.ends);
-  }
-  if (!wave_riders.empty()) {
-    std::vector<NodeId> us, vs;
-    us.reserve(wave_riders.size());
-    vs.reserve(wave_riders.size());
-    for (const RiderId i : wave_riders) {
-      const Rider& r = instance.riders[static_cast<size_t>(i)];
-      us.push_back(r.source);
-      vs.push_back(r.destination);
-    }
-    buf.resize(us.size());
-    oracle->BatchPairwise(us, vs, buf.data());
-    for (size_t k = 0; k < us.size(); ++k) {
-      table->emplace(PairKey(us[k], vs[k]), buf[k]);
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 CandidateEval EvaluateCandidate(const UrrInstance& instance,
@@ -291,8 +162,8 @@ std::vector<CandidateEval> EvaluateCandidates(
   std::vector<CandidateEval> evals(pairs.size());
   // Cache pass first (serial, O(1) per pair): a clean entry means the
   // vehicle is untouched since the pair was last evaluated, so the stored
-  // result is bit-identical to a recompute. Only the misses go through the
-  // prefetch + fan-out machinery below.
+  // result is bit-identical to a recompute. Only the misses fan out, each
+  // worker's kernel querying its own oracle.
   std::vector<size_t> miss;
   if (ctx->eval_cache != nullptr) {
     uint64_t hits = 0;
@@ -318,48 +189,18 @@ std::vector<CandidateEval> EvaluateCandidates(
     miss.resize(pairs.size());
     for (size_t k = 0; k < pairs.size(); ++k) miss[k] = k;
   }
-  std::vector<RiderVehiclePair> todo;
-  todo.reserve(miss.size());
-  for (size_t k : miss) todo.push_back(pairs[k]);
-  // Wave batching: with a batch-capable oracle, fetch the wave's predicted
-  // distance footprint in a few many-to-many batches and serve evaluations
-  // from the shared read-only table. The table is built before any fan-out
-  // (on the calling worker's oracle — inside a nested wave that is the
-  // worker's private clone), so results stay bit-identical to the scalar
-  // path for any thread count.
-  std::unordered_map<uint64_t, Cost> table;
-  std::vector<PrefetchedOracle> prefetched;
-  bool use_table = false;
-  DistanceOracle* caller = ctx->worker_oracle(ThreadPool::CurrentWorker());
-  if (!todo.empty() && caller != nullptr && caller->SupportsBatch()) {
-    use_table = PrefetchWaveDistances(instance, sol, todo, caller, &table);
-  }
-  if (use_table) {
-    const size_t num_workers = static_cast<size_t>(ctx->num_workers());
-    prefetched.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      prefetched.emplace_back(&table, ctx->worker_oracle(static_cast<int>(w)));
-    }
-  }
-  ParallelFor(ctx->eval_pool(), static_cast<int64_t>(todo.size()),
+  ParallelFor(ctx->eval_pool(), static_cast<int64_t>(miss.size()),
               [&](int64_t m, int worker) {
                 const size_t k = miss[static_cast<size_t>(m)];
-                const RiderVehiclePair& p = todo[static_cast<size_t>(m)];
-                DistanceOracle* eval_oracle =
-                    use_table && static_cast<size_t>(worker) < prefetched.size()
-                        ? static_cast<DistanceOracle*>(
-                              &prefetched[static_cast<size_t>(worker)])
-                        : ctx->worker_oracle(worker);
-                evals[k] = EvaluateWithContext(instance, ctx, sol, p.rider,
-                                               p.vehicle, need_utility,
-                                               eval_oracle);
+                evals[k] = EvaluateWithContext(
+                    instance, ctx, sol, pairs[k].rider, pairs[k].vehicle,
+                    need_utility, ctx->worker_oracle(worker));
               });
   if (ctx->eval_cache != nullptr) {
     // Store after the wave: distinct (rider, vehicle) keys per wave entry,
     // so insertion order cannot change any stored value.
-    for (size_t m = 0; m < todo.size(); ++m) {
-      const size_t k = miss[m];
-      const RiderVehiclePair& p = todo[m];
+    for (const size_t k : miss) {
+      const RiderVehiclePair& p = pairs[k];
       ctx->eval_cache->Store(
           p.rider, p.vehicle,
           sol.schedules[static_cast<size_t>(p.vehicle)].version(),
@@ -395,13 +236,14 @@ void AttachThreadPool(SolverContext* ctx, ThreadPool* pool) {
 
 std::vector<int> ValidVehiclesForRider(const UrrInstance& instance,
                                        VehicleIndex* index, RiderId i,
-                                       const std::vector<bool>* allowed) {
+                                       const std::vector<bool>* allowed,
+                                       int worker) {
   const Rider& r = instance.riders[static_cast<size_t>(i)];
   const Cost budget = r.pickup_deadline - instance.now;
   std::vector<int> out;
   if (budget < 0) return out;
   for (const VehicleWithDistance& v :
-       index->VehiclesWithinCost(r.source, budget)) {
+       index->VehiclesWithinCost(r.source, budget, worker)) {
     if (allowed != nullptr && !(*allowed)[static_cast<size_t>(v.vehicle)]) {
       continue;
     }
@@ -413,18 +255,34 @@ std::vector<int> ValidVehiclesForRider(const UrrInstance& instance,
   return out;
 }
 
+void RetrievalStats::Record(size_t set_size) {
+  if (set_size >= size_counts.size()) size_counts.resize(set_size + 1, 0);
+  ++size_counts[set_size];
+}
+
 void RetrievalStats::SummarizeCandidates(double* mean, double* p99) const {
   *mean = 0;
   *p99 = 0;
-  if (per_rider_candidates.empty()) return;
-  std::vector<int32_t> sorted = per_rider_candidates;
-  std::sort(sorted.begin(), sorted.end());
+  int64_t queries = 0;
   int64_t sum = 0;
-  for (int32_t c : sorted) sum += c;
-  *mean = static_cast<double>(sum) / static_cast<double>(sorted.size());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(0.99 * static_cast<double>(sorted.size())));
-  *p99 = sorted[std::max<size_t>(rank, 1) - 1];
+  for (size_t c = 0; c < size_counts.size(); ++c) {
+    queries += size_counts[c];
+    sum += static_cast<int64_t>(c) * size_counts[c];
+  }
+  if (queries == 0) return;
+  *mean = static_cast<double>(sum) / static_cast<double>(queries);
+  // Nearest rank: the smallest size whose cumulative count reaches
+  // ceil(0.99 * queries).
+  const int64_t rank = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(0.99 * static_cast<double>(queries))));
+  int64_t seen = 0;
+  for (size_t c = 0; c < size_counts.size(); ++c) {
+    seen += size_counts[c];
+    if (seen >= rank) {
+      *p99 = static_cast<double>(c);
+      return;
+    }
+  }
 }
 
 std::vector<std::vector<int>> CandidateVehiclesForRiders(
@@ -432,16 +290,22 @@ std::vector<std::vector<int>> CandidateVehiclesForRiders(
     const std::vector<RiderId>& riders, const std::vector<bool>* allowed) {
   Stopwatch timer;
   std::vector<std::vector<int>> out(riders.size());
-  for (size_t k = 0; k < riders.size(); ++k) {
-    out[k] =
-        ValidVehiclesForRider(instance, ctx->vehicle_index, riders[k], allowed);
-  }
+  ThreadPool* pool = ctx->eval_pool();
+  ctx->vehicle_index->ReserveWorkers(
+      std::max(pool == nullptr ? 1 : pool->num_threads(),
+               ThreadPool::CurrentWorker() + 1));
+  ParallelFor(pool, static_cast<int64_t>(riders.size()),
+              [&](int64_t k, int worker) {
+                out[static_cast<size_t>(k)] = ValidVehiclesForRider(
+                    instance, ctx->vehicle_index,
+                    riders[static_cast<size_t>(k)], allowed, worker);
+              });
   if (RetrievalStats* stats = ctx->retrieval_stats; stats != nullptr) {
     const double seconds = timer.ElapsedSeconds();
     stats->riders.fetch_add(static_cast<int64_t>(out.size()));
     for (const std::vector<int>& c : out) {
       stats->candidates.fetch_add(static_cast<int64_t>(c.size()));
-      stats->per_rider_candidates.push_back(static_cast<int32_t>(c.size()));
+      stats->Record(c.size());
     }
     stats->retrieval_nanos.fetch_add(static_cast<int64_t>(seconds * 1e9));
   }

@@ -25,15 +25,20 @@ class EvalCache;        // urr/eval_cache.h
 struct EvalCounters;    // urr/eval_cache.h
 
 /// Counters of the candidate-retrieval phase (CandidateVehiclesForRiders).
-/// Recorded from the retrieving thread only; the atomics let a caller read
-/// per-window deltas while a solve runs.
+/// Recorded by the calling thread once each retrieval batch has joined; the
+/// atomics let a caller read per-window deltas while a solve runs.
 struct RetrievalStats {
   std::atomic<int64_t> riders{0};           // retrieval queries answered
   std::atomic<int64_t> candidates{0};       // candidates returned in total
   std::atomic<int64_t> retrieval_nanos{0};  // wall time in retrieval
-  std::vector<int32_t> per_rider_candidates;  // set size per query
+  /// size_counts[c] = queries that returned c candidates. A set never
+  /// exceeds the fleet, so this stays at most fleet size + 1 entries however
+  /// long a session runs.
+  std::vector<int64_t> size_counts;
 
-  /// Mean and nearest-rank p99 of per_rider_candidates; both 0 before the
+  /// Counts one query that returned `set_size` candidates.
+  void Record(size_t set_size);
+  /// Mean and nearest-rank p99 of the recorded set sizes; both 0 before the
   /// first query.
   void SummarizeCandidates(double* mean, double* p99) const;
 };
@@ -114,12 +119,6 @@ struct SolverContext {
                ? pool
                : nullptr;
   }
-  /// Number of workers with a private oracle (>= 1: worker 0 is the caller).
-  int num_workers() const {
-    return worker_set == nullptr
-               ? 1
-               : std::max(1, static_cast<int>(worker_set->oracles.size()));
-  }
   /// Worker `w`'s private oracle (the shared one for worker 0 / serial).
   DistanceOracle* worker_oracle(int w) const {
     if (worker_set == nullptr || w <= 0 ||
@@ -197,14 +196,17 @@ struct GroupFilter {
 /// one bounded reverse Dijkstra per rider via the vehicle index. When
 /// `allowed` is non-null, results are restricted to that vehicle subset.
 /// Ascending vehicle id — the canonical candidate order, so downstream
-/// tie-breaks do not depend on the Dijkstra heap's tie order.
+/// tie-breaks do not depend on the Dijkstra heap's tie order. `worker`
+/// picks the index's Dijkstra engine (VehicleIndex::VehiclesWithinCost).
 std::vector<int> ValidVehiclesForRider(const UrrInstance& instance,
                                        VehicleIndex* index, RiderId i,
-                                       const std::vector<bool>* allowed);
+                                       const std::vector<bool>* allowed,
+                                       int worker = 0);
 
 /// Batch candidate retrieval for `riders` through ctx->vehicle_index: out[k]
-/// is the ValidVehiclesForRider set for riders[k]. Serial (the index's
-/// Dijkstra engine is stateful); records into ctx->retrieval_stats.
+/// is the ValidVehiclesForRider set for riders[k]. Fans out over riders on
+/// ctx->eval_pool(), each worker on its own engine of the index; the lists
+/// are the same for any pool size. Records into ctx->retrieval_stats.
 std::vector<std::vector<int>> CandidateVehiclesForRiders(
     const UrrInstance& instance, const SolverContext* ctx,
     const std::vector<RiderId>& riders, const std::vector<bool>* allowed);

@@ -9,7 +9,8 @@
 namespace urr {
 namespace {
 
-std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42) {
+std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42,
+                                            int num_threads = 0) {
   ExperimentConfig cfg;
   cfg.city_nodes = 1200;
   cfg.num_social_users = 500;
@@ -17,6 +18,7 @@ std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42) {
   cfg.num_riders = 100;
   cfg.num_vehicles = 20;
   cfg.seed = seed;
+  cfg.num_threads = num_threads;
   auto world = BuildWorld(cfg);
   EXPECT_TRUE(world.ok()) << world.status();
   return *std::move(world);
@@ -142,6 +144,31 @@ TEST(EngineTest, ZeroWindowAnswersEveryArrivalOnTheSpot) {
   for (const Event& e : run.engine.event_log()) {
     EXPECT_NE(e.type, EventType::kQueued);
     EXPECT_NE(e.type, EventType::kExpired);
+  }
+}
+
+// Per-arrival dispatch fans retrieval and candidate scoring out over the
+// pool; the decisions, and so the log and fleet state, must not depend on
+// the pool size.
+TEST(EngineTest, ZeroWindowLogIsIdenticalAcrossThreadCounts) {
+  std::string log, fingerprint;
+  for (int threads : {1, 4}) {
+    auto world = SmallWorld(42, threads);
+    const StreamingWorkload workload = MakeWorkload(*world, 1.0, 0.3);
+    EngineConfig cfg;
+    cfg.window = 0;
+    cfg.solver = WindowSolver::kEfficientGreedy;
+    EngineRun run(world.get(), &workload, cfg);
+    ASSERT_TRUE(run.engine.Run().ok());
+    if (threads == 1) {
+      log = run.engine.SerializedLog();
+      fingerprint = run.engine.SolutionFingerprint();
+      EXPECT_GT(run.engine.metrics().total_accepted, 0);
+      continue;
+    }
+    ASSERT_NE(world->pool, nullptr);
+    EXPECT_EQ(run.engine.SerializedLog(), log);
+    EXPECT_EQ(run.engine.SolutionFingerprint(), fingerprint);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 
 namespace urr {
@@ -154,6 +158,96 @@ TEST_F(SolutionTest, BatchRetrievalMatchesPerRiderAndRecordsStats) {
   empty.SummarizeCandidates(&mean, &p99);
   EXPECT_EQ(mean, 0);
   EXPECT_EQ(p99, 0);
+}
+
+// The histogram summary must equal the nearest-rank summary of the raw
+// sequence, including when many queries tie at the p99 rank.
+TEST(RetrievalStatsTest, HistogramMatchesSortedSequenceWithTies) {
+  Rng rng(11);
+  std::vector<int32_t> sizes;
+  for (int q = 0; q < 5000; ++q) {
+    // Mostly small sets, and a block of 80 equal large ones straddling the
+    // 99th percentile (ranks 4921..5000 of 5000; p99 rank is 4950).
+    sizes.push_back(q < 80 ? 37 : static_cast<int32_t>(rng.UniformInt(0, 20)));
+  }
+  RetrievalStats stats;
+  for (int32_t c : sizes) stats.Record(static_cast<size_t>(c));
+  EXPECT_EQ(stats.size_counts.size(), 38u);
+
+  std::vector<int32_t> sorted = sizes;
+  std::sort(sorted.begin(), sorted.end());
+  int64_t sum = 0;
+  for (int32_t c : sorted) sum += c;
+  const size_t rank = static_cast<size_t>(
+      std::ceil(0.99 * static_cast<double>(sorted.size())));
+  double mean = -1, p99 = -1;
+  stats.SummarizeCandidates(&mean, &p99);
+  EXPECT_EQ(mean, static_cast<double>(sum) / static_cast<double>(sorted.size()));
+  EXPECT_EQ(p99, sorted[rank - 1]);
+  EXPECT_EQ(p99, 37);
+}
+
+// Retrieval fans out over riders with one Dijkstra engine per worker; the
+// lists must be exactly the serial ones on a city-sized network, with an
+// allowed mask and with a rider whose pickup budget is already negative.
+TEST(CandidateRetrievalTest, PoolMatchesSerialOnCity) {
+  Rng rng(20170512);
+  auto net = GenerateNycLike(1500, &rng);
+  ASSERT_TRUE(net.ok()) << net.status();
+  const NodeId n = net->num_nodes();
+  DijkstraOracle oracle(*net);
+  UrrInstance instance;
+  instance.network = &*net;
+  instance.now = 50;
+  std::vector<NodeId> locations;
+  for (int j = 0; j < 80; ++j) {
+    const NodeId at = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    instance.vehicles.push_back({at, 3});
+    locations.push_back(at);
+  }
+  std::vector<RiderId> riders;
+  for (RiderId i = 0; i < 120; ++i) {
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    const NodeId e = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    // Budget up to 1.5x the distance to some vehicle, so most sets are
+    // non-empty and of varying size; rider 0's deadline has passed.
+    const Cost reach =
+        oracle.Distance(locations[static_cast<size_t>(i) % locations.size()], s);
+    const Cost budget = i == 0 ? -1 : reach * rng.Uniform(0.2, 1.5);
+    instance.riders.push_back(
+        {s, e, instance.now + budget, kInfiniteCost, -1});
+    riders.push_back(i);
+  }
+  std::vector<bool> allowed(locations.size());
+  for (size_t j = 0; j < allowed.size(); ++j) allowed[j] = j % 3 != 1;
+
+  auto retrieve = [&](int threads, const std::vector<bool>* mask) {
+    ThreadPool pool(threads);
+    VehicleIndex index(*net, locations);
+    RetrievalStats stats;
+    SolverContext ctx;
+    ctx.oracle = &oracle;
+    ctx.vehicle_index = &index;
+    ctx.retrieval_stats = &stats;
+    AttachThreadPool(&ctx, &pool);
+    EXPECT_EQ(ctx.eval_pool() != nullptr, threads > 1);
+    auto lists = CandidateVehiclesForRiders(instance, &ctx, riders, mask);
+    EXPECT_EQ(stats.riders.load(), static_cast<int64_t>(riders.size()));
+    return lists;
+  };
+  for (const std::vector<bool>* mask :
+       std::vector<const std::vector<bool>*>{nullptr, &allowed}) {
+    const auto serial = retrieve(1, mask);
+    ASSERT_EQ(serial.size(), riders.size());
+    EXPECT_TRUE(serial[0].empty());
+    size_t nonempty = 0;
+    for (const std::vector<int>& list : serial) {
+      EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+      nonempty += !list.empty();
+    }
+    EXPECT_GT(nonempty, riders.size() / 2);
+    EXPECT_EQ(retrieve(4, mask), serial);
+  }
 }
 
 TEST_F(SolutionTest, ValidVehiclesNegativeBudgetEmpty) {
