@@ -30,7 +30,7 @@ namespace {
 /// Shared fixture state, built once.
 struct MicroWorld {
   RoadNetwork network;
-  std::unique_ptr<ContractionHierarchy> ch;
+  std::shared_ptr<const ContractionHierarchy> ch;
   /// Labels extracted from `ch`: the production oracle.
   std::unique_ptr<HubLabelOracle> hl;
   SocialGraph social;
@@ -41,7 +41,7 @@ struct MicroWorld {
     opt.width = 70;
     opt.height = 70;
     network = *GenerateGridCity(opt, &rng);
-    ch = std::make_unique<ContractionHierarchy>(
+    ch = std::make_shared<const ContractionHierarchy>(
         *ContractionHierarchy::Build(network));
     hl = *HubLabelOracle::FromHierarchy(*ch);
     SocialGenOptions sopt;
@@ -257,31 +257,25 @@ BENCHMARK(BM_ParallelCandidateEval)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Head-to-head of the exact oracles on an identical many-to-many workload.
-/// range(0) picks the oracle (0 = Dijkstra, 1 = CH, 2 = hub labels);
-/// range(1) picks scalar per-pair queries (0) or one BatchDistances call
-/// over the same 16x64 rectangle (1). All six combinations compute the
+/// Head-to-head of the exact oracles on an identical workload: scalar
+/// Distance calls over a fixed 16x64 source/target rectangle. range(0) picks
+/// the oracle (0 = Dijkstra, 1 = CH, 2 = hub labels); all three compute the
 /// exact same 1024 distances.
 void BM_OracleComparison(benchmark::State& state) {
   MicroWorld& w = World();
   static DijkstraOracle dijkstra(w.network);
-  static std::unique_ptr<ChOracle> ch = ChOracle::FromHierarchy(*w.ch);
-  DistanceOracle* const oracles[] = {&dijkstra, ch.get(), w.hl.get()};
+  static ChOracle ch(w.ch);
+  DistanceOracle* const oracles[] = {&dijkstra, &ch, w.hl.get()};
   DistanceOracle* oracle = oracles[state.range(0)];
-  const bool batched = state.range(1) != 0;
-  Rng rng(99);  // fixed pair set: every combination does identical work
+  Rng rng(99);  // fixed pair set: every oracle does identical work
   std::vector<NodeId> sources, targets;
   for (int i = 0; i < 16; ++i) sources.push_back(w.RandomNodeFrom(&rng));
   for (int i = 0; i < 64; ++i) targets.push_back(w.RandomNodeFrom(&rng));
   std::vector<Cost> out(sources.size() * targets.size());
   for (auto _ : state) {
-    if (batched) {
-      oracle->BatchDistances(sources, targets, out.data());
-    } else {
-      for (size_t i = 0; i < sources.size(); ++i) {
-        for (size_t j = 0; j < targets.size(); ++j) {
-          out[i * targets.size() + j] = oracle->Distance(sources[i], targets[j]);
-        }
+    for (size_t i = 0; i < sources.size(); ++i) {
+      for (size_t j = 0; j < targets.size(); ++j) {
+        out[i * targets.size() + j] = oracle->Distance(sources[i], targets[j]);
       }
     }
     benchmark::DoNotOptimize(out.data());
@@ -291,8 +285,8 @@ void BM_OracleComparison(benchmark::State& state) {
                           static_cast<int64_t>(out.size()));
 }
 BENCHMARK(BM_OracleComparison)
-    ->ArgNames({"oracle", "batched"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgName("oracle")
+    ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond);
 
 /// One window's candidate retrieval: 64 pending riders against a fleet of
@@ -350,8 +344,8 @@ BENCHMARK(BM_Jaccard);
 
 /// Perf snapshot for the repo: the solvers' candidate-evaluation phase
 /// (EvaluateCandidates over the full rider x vehicle pair set of the
-/// generator city, one many-to-many prefetch per wave) timed under CH
-/// versus hub labels. Values are bit-identical; only the wall clock moves.
+/// generator city, scalar queries per candidate) timed under CH versus hub
+/// labels. Values are bit-identical; only the wall clock moves.
 /// Writes a small JSON file so the speedup is tracked in-tree.
 int EmitOracleSnapshot(const std::string& path) {
   EvalWorld ew;
@@ -383,8 +377,8 @@ int EmitOracleSnapshot(const std::string& path) {
     }
     return best;
   };
-  const double batched_ch_s = measure(ew.oracle.get());
-  const double batched_hl_s = measure(hl->get());
+  const double eval_ch_s = measure(ew.oracle.get());
+  const double eval_hl_s = measure(hl->get());
 
   // Index-construction rows: the full preprocessing pipeline (CH contraction
   // + hub-label extraction, both timed separately) at 1, 2 and 8 threads —
@@ -459,16 +453,16 @@ int EmitOracleSnapshot(const std::string& path) {
                "  \"vehicles\": %d,\n"
                "  \"pairs\": %zu,\n"
                "  \"hl_label_build_seconds\": %.3f,\n"
-               "  \"batched_ch_seconds\": %.6f,\n"
-               "  \"batched_hl_seconds\": %.6f,\n"
-               "  \"speedup_batched_hl_vs_batched_ch\": %.2f,\n"
+               "  \"eval_ch_seconds\": %.6f,\n"
+               "  \"eval_hl_seconds\": %.6f,\n"
+               "  \"speedup_eval_hl_vs_eval_ch\": %.2f,\n"
                "  \"index_build\": [\n",
                URR_GIT_COMMIT, std::thread::hardware_concurrency(),
                URR_BUILD_TYPE, w.network.num_nodes(),
                static_cast<int>(ew.instance.riders.size()),
                static_cast<int>(ew.instance.vehicles.size()), ew.pairs.size(),
-               hl_prep_s, batched_ch_s, batched_hl_s,
-               batched_ch_s / batched_hl_s);
+               hl_prep_s, eval_ch_s, eval_hl_s,
+               eval_ch_s / eval_hl_s);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
                  "    {\"threads\": %d, \"ch_contract_seconds\": %.6f, "
@@ -484,9 +478,9 @@ int EmitOracleSnapshot(const std::string& path) {
                "}\n",
                save_s, load_s, cold_start_speedup);
   std::fclose(f);
-  std::printf("wrote %s: batched CH %.3fms, batched HL %.3fms (%.1fx)\n",
-              path.c_str(), batched_ch_s * 1e3, batched_hl_s * 1e3,
-              batched_ch_s / batched_hl_s);
+  std::printf("wrote %s: eval CH %.3fms, eval HL %.3fms (%.1fx)\n",
+              path.c_str(), eval_ch_s * 1e3, eval_hl_s * 1e3,
+              eval_ch_s / eval_hl_s);
   std::printf("index build: serial %.3fs (contract %.3fs + labels %.3fs), "
               "8-thread contract %.3fs; snapshot load %.3fs (%.0fx cold-start "
               "speedup)\n",

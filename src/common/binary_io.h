@@ -28,6 +28,11 @@ static_assert(std::endian::native == std::endian::little,
 uint64_t Fnv1a64(const void* data, size_t size,
                  uint64_t seed = 0xcbf29ce484222325ull);
 
+/// Writes `content` to `path` (created or truncated). Checks the write,
+/// the flush and the close, so a full disk or a failing device is an
+/// IOError rather than a silently truncated file.
+Status WriteFile(const std::string& path, std::string_view content);
+
 /// Append-only serializer into an owned byte string.
 class BinaryWriter {
  public:

@@ -681,100 +681,4 @@ Cost ChQuery::Path(NodeId source, NodeId target, std::vector<NodeId>* path) {
   return d;
 }
 
-ChManyToMany::ChManyToMany(const ContractionHierarchy& ch) : ch_(ch) {
-  const auto n = static_cast<size_t>(ch.num_nodes());
-  dist_.assign(n, kInfiniteCost);
-  stamp_.assign(n, 0);
-}
-
-void ChManyToMany::UpwardSearch(NodeId source, bool backward,
-                                std::vector<std::pair<NodeId, Cost>>* settled) {
-  const auto& begin = backward ? ch_.down_begin_ : ch_.up_begin_;
-  const auto& to = backward ? ch_.down_to_ : ch_.up_to_;
-  const auto& cost = backward ? ch_.down_cost_ : ch_.up_cost_;
-  const auto& rbegin = backward ? ch_.up_begin_ : ch_.down_begin_;
-  const auto& rto = backward ? ch_.up_to_ : ch_.down_to_;
-  const auto& rcost = backward ? ch_.up_cost_ : ch_.down_cost_;
-
-  ++now_;
-  if (now_ == 0) {
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    now_ = 1;
-  }
-  while (!queue_.empty()) queue_.pop();
-
-  auto get = [&](NodeId v) {
-    return stamp_[static_cast<size_t>(v)] == now_ ? dist_[static_cast<size_t>(v)]
-                                                  : kInfiniteCost;
-  };
-  auto set = [&](NodeId v, Cost d) {
-    stamp_[static_cast<size_t>(v)] = now_;
-    dist_[static_cast<size_t>(v)] = d;
-  };
-
-  set(source, 0);
-  queue_.push({0, source});
-  while (!queue_.empty()) {
-    auto [d, v] = queue_.top();
-    queue_.pop();
-    if (d > get(v)) continue;  // stale duplicate
-    settled->push_back({v, d});
-    // Same stall rule as ChQuery; a stalled node is recorded but not relaxed.
-    bool stall = false;
-    for (int64_t i = rbegin[static_cast<size_t>(v)];
-         i < rbegin[static_cast<size_t>(v) + 1]; ++i) {
-      const Cost dw = get(rto[static_cast<size_t>(i)]);
-      if (dw < kInfiniteCost && dw + rcost[static_cast<size_t>(i)] < d) {
-        stall = true;
-        break;
-      }
-    }
-    if (stall) continue;
-    for (int64_t i = begin[static_cast<size_t>(v)];
-         i < begin[static_cast<size_t>(v) + 1]; ++i) {
-      const NodeId w = to[static_cast<size_t>(i)];
-      const Cost nd = d + cost[static_cast<size_t>(i)];
-      if (nd < get(w)) {
-        set(w, nd);
-        queue_.push({nd, w});
-      }
-    }
-  }
-}
-
-void ChManyToMany::Distances(std::span<const NodeId> sources,
-                             std::span<const NodeId> targets, Cost* out) {
-  const size_t num_targets = targets.size();
-  std::fill(out, out + sources.size() * num_targets, kInfiniteCost);
-
-  bucket_.clear();
-  for (size_t j = 0; j < num_targets; ++j) {
-    settled_.clear();
-    UpwardSearch(targets[j], /*backward=*/true, &settled_);
-    for (const auto& [node, d] : settled_) {
-      bucket_.push_back({node, static_cast<int32_t>(j), d});
-    }
-  }
-  // (node, target) pairs are unique, so this order is deterministic.
-  std::sort(bucket_.begin(), bucket_.end(),
-            [](const BucketEntry& a, const BucketEntry& b) {
-              return a.node != b.node ? a.node < b.node : a.target < b.target;
-            });
-
-  for (size_t i = 0; i < sources.size(); ++i) {
-    settled_.clear();
-    UpwardSearch(sources[i], /*backward=*/false, &settled_);
-    Cost* row = out + i * num_targets;
-    for (const auto& [node, df] : settled_) {
-      auto lo = std::lower_bound(
-          bucket_.begin(), bucket_.end(), node,
-          [](const BucketEntry& e, NodeId key) { return e.node < key; });
-      for (; lo != bucket_.end() && lo->node == node; ++lo) {
-        const Cost sum = df + lo->dist;
-        if (sum < row[lo->target]) row[lo->target] = sum;
-      }
-    }
-  }
-}
-
 }  // namespace urr

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <span>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -67,7 +66,6 @@ class ContractionHierarchy {
 
  private:
   friend class ChQuery;
-  friend class ChManyToMany;
   friend class HubLabels;
   friend class HubLabelUpwardSearcher;  // label extraction's search scratch
 
@@ -126,51 +124,6 @@ class ChQuery {
   Side bwd_;
   uint32_t now_ = 0;
   int64_t num_queries_ = 0;
-};
-
-/// Bucket-based many-to-many CH distances (Knopp et al.): one complete
-/// backward upward search per target drops (target, dist) entries on every
-/// node it settles; one complete forward upward search per source then scans
-/// the buckets of its settled nodes. Per-node search work is paid once per
-/// row/column instead of once per pair. The searches use the exact ChQuery
-/// relax / stall-on-demand rules, so the resulting costs are bitwise
-/// identical to scalar ChQuery::Distance (each side of the bidirectional
-/// query evolves independently of the other; dropping the early-termination
-/// cut only adds candidates that can never beat the scalar minimum).
-/// Owns scratch; not thread-safe — one instance per thread.
-class ChManyToMany {
- public:
-  /// Keeps a reference; `ch` must outlive it.
-  explicit ChManyToMany(const ContractionHierarchy& ch);
-
-  /// Fills out[i * targets.size() + j] with dist(sources[i], targets[j])
-  /// (kInfiniteCost when unreachable).
-  void Distances(std::span<const NodeId> sources,
-                 std::span<const NodeId> targets, Cost* out);
-
- private:
-  struct BucketEntry {
-    NodeId node;
-    int32_t target;  // index into the batch's target span
-    Cost dist;
-  };
-
-  /// Complete upward search (forward climbs up_*, backward climbs down_*);
-  /// appends (node, final dist) for every settled node in settle order.
-  /// Stalled nodes are still recorded — ChQuery forms meet candidates
-  /// before its stall check, and mirroring that keeps the minima bitwise
-  /// equal — but not relaxed.
-  void UpwardSearch(NodeId source, bool backward,
-                    std::vector<std::pair<NodeId, Cost>>* settled);
-
-  const ContractionHierarchy& ch_;
-  std::vector<Cost> dist_;
-  std::vector<uint32_t> stamp_;
-  uint32_t now_ = 0;
-  using Entry = std::pair<Cost, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  std::vector<BucketEntry> bucket_;
-  std::vector<std::pair<NodeId, Cost>> settled_;
 };
 
 }  // namespace urr

@@ -102,33 +102,6 @@ Cost DisruptionOverlay::Distance(NodeId u, NodeId v) {
   return PerturbedDistance(u, v);
 }
 
-void DisruptionOverlay::BatchDistances(std::span<const NodeId> sources,
-                                       std::span<const NodeId> targets,
-                                       Cost* out) {
-  if (!state_->active()) {
-    num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-    base_->BatchDistances(sources, targets, out);
-    return;
-  }
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      out[i * targets.size() + j] = Distance(sources[i], targets[j]);
-    }
-  }
-}
-
-void DisruptionOverlay::BatchPairwise(std::span<const NodeId> us,
-                                      std::span<const NodeId> vs, Cost* out) {
-  if (!state_->active()) {
-    num_calls_ += static_cast<int64_t>(us.size());
-    base_->BatchPairwise(us, vs, out);
-    return;
-  }
-  for (size_t k = 0; k < us.size(); ++k) {
-    out[k] = Distance(us[k], vs[k]);
-  }
-}
-
 std::unique_ptr<DistanceOracle> DisruptionOverlay::Clone() const {
   std::unique_ptr<DistanceOracle> base_clone = base_->Clone();
   if (base_clone == nullptr) return nullptr;

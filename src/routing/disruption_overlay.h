@@ -114,13 +114,6 @@ class DisruptionOverlay : public DistanceOracle {
                     std::shared_ptr<OverlayStats> stats);
 
   Cost Distance(NodeId u, NodeId v) override;
-  /// Forwards to the base batch (bitwise-identical amortized path) when no
-  /// disruption is active; per-pair screened queries otherwise.
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override;
-  void BatchPairwise(std::span<const NodeId> us, std::span<const NodeId> vs,
-                     Cost* out) override;
-  bool SupportsBatch() const override { return base_->SupportsBatch(); }
   /// Clones the base oracle (owning it) behind a new overlay sharing this
   /// one's DisruptionState and stats; nullptr when the base cannot clone.
   std::unique_ptr<DistanceOracle> Clone() const override;

@@ -1,44 +1,8 @@
 #include "routing/distance_oracle.h"
 
-#include <vector>
-
 #include "common/status.h"
 
 namespace urr {
-
-namespace {
-
-/// Clone of a ChOracle: borrows the (immutable after build) hierarchy and
-/// owns its own query scratch, so any number of these can run concurrently.
-class ChQueryOracle : public DistanceOracle {
- public:
-  explicit ChQueryOracle(const ContractionHierarchy& ch)
-      : ch_(ch), query_(ch), m2m_(ch) {}
-
-  Cost Distance(NodeId u, NodeId v) override {
-    ++num_calls_;
-    return query_.Distance(u, v);
-  }
-
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override {
-    num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-    m2m_.Distances(sources, targets, out);
-  }
-
-  bool SupportsBatch() const override { return true; }
-
-  std::unique_ptr<DistanceOracle> Clone() const override {
-    return std::make_unique<ChQueryOracle>(ch_);
-  }
-
- private:
-  const ContractionHierarchy& ch_;
-  ChQuery query_;
-  ChManyToMany m2m_;
-};
-
-}  // namespace
 
 void DistanceOracle::BatchDistances(std::span<const NodeId> sources,
                                     std::span<const NodeId> targets,
@@ -65,17 +29,6 @@ Cost DijkstraOracle::Distance(NodeId u, NodeId v) {
   return engine_.Distance(u, v);
 }
 
-void DijkstraOracle::BatchDistances(std::span<const NodeId> sources,
-                                    std::span<const NodeId> targets,
-                                    Cost* out) {
-  num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-  const std::vector<NodeId> target_vec(targets.begin(), targets.end());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const std::vector<Cost> row = engine_.Distances(sources[i], target_vec);
-    std::copy(row.begin(), row.end(), out + i * targets.size());
-  }
-}
-
 std::unique_ptr<DistanceOracle> DijkstraOracle::Clone() const {
   return std::make_unique<DijkstraOracle>(*network_);
 }
@@ -84,11 +37,12 @@ Result<std::unique_ptr<ChOracle>> ChOracle::Create(const RoadNetwork& network,
                                                    const ChOptions& options) {
   URR_ASSIGN_OR_RETURN(ContractionHierarchy ch,
                        ContractionHierarchy::Build(network, options));
-  return std::unique_ptr<ChOracle>(new ChOracle(std::move(ch)));
+  return FromHierarchy(std::move(ch));
 }
 
 std::unique_ptr<ChOracle> ChOracle::FromHierarchy(ContractionHierarchy ch) {
-  return std::unique_ptr<ChOracle>(new ChOracle(std::move(ch)));
+  return std::make_unique<ChOracle>(
+      std::make_shared<const ContractionHierarchy>(std::move(ch)));
 }
 
 Cost ChOracle::Distance(NodeId u, NodeId v) {
@@ -96,14 +50,8 @@ Cost ChOracle::Distance(NodeId u, NodeId v) {
   return query_.Distance(u, v);
 }
 
-void ChOracle::BatchDistances(std::span<const NodeId> sources,
-                              std::span<const NodeId> targets, Cost* out) {
-  num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-  m2m_.Distances(sources, targets, out);
-}
-
 std::unique_ptr<DistanceOracle> ChOracle::Clone() const {
-  return std::make_unique<ChQueryOracle>(ch_);
+  return std::make_unique<ChOracle>(ch_);
 }
 
 }  // namespace urr

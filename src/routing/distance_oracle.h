@@ -25,24 +25,20 @@ class DistanceOracle {
   /// Exact shortest-path cost from `u` to `v`; kInfiniteCost if unreachable.
   virtual Cost Distance(NodeId u, NodeId v) = 0;
 
-  /// Many-to-many rectangle: fills out[i * targets.size() + j] with
-  /// Distance(sources[i], targets[j]). The base implementation loops over
-  /// pairs; batched implementations (Dijkstra rows, CH buckets, hub labels)
-  /// amortize per-source/per-target work across the rectangle. Values are
-  /// identical to per-pair Distance calls.
+  /// Kept only because the benchmark's timing decorator
+  /// (perfbench/src/bench.h) overrides it: loops Distance over the
+  /// rectangle, filling out[i * targets.size() + j]. Nothing else calls it.
   virtual void BatchDistances(std::span<const NodeId> sources,
                               std::span<const NodeId> targets, Cost* out);
 
-  /// Element-wise batch: out[k] = Distance(us[k], vs[k]). The base
-  /// implementation loops in order, so decorators observe exactly
-  /// the per-pair call sequence.
+  /// Kept only because the benchmark's timing decorator
+  /// (perfbench/src/bench.h) overrides it: out[k] = Distance(us[k], vs[k]),
+  /// in order. Nothing else calls it.
   virtual void BatchPairwise(std::span<const NodeId> us,
                              std::span<const NodeId> vs, Cost* out);
 
-  /// True when BatchDistances genuinely amortizes work across the
-  /// rectangle. No solver reads it (evaluation queries each worker's
-  /// oracle directly); it stays only because the benchmark's timing
-  /// decorator (perfbench/src/bench.h) overrides it.
+  /// Kept only because the benchmark's timing decorator
+  /// (perfbench/src/bench.h) overrides it; always false, nothing reads it.
   virtual bool SupportsBatch() const { return false; }
 
   /// An independent query context over the same network, for use from
@@ -67,10 +63,6 @@ class DijkstraOracle : public DistanceOracle {
   /// Keeps a reference; `network` must outlive the oracle.
   explicit DijkstraOracle(const RoadNetwork& network);
   Cost Distance(NodeId u, NodeId v) override;
-  /// Row-wise: one full Dijkstra per source answers the whole target row.
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override;
-  bool SupportsBatch() const override { return true; }
   std::unique_ptr<DistanceOracle> Clone() const override;
 
  private:
@@ -78,7 +70,8 @@ class DijkstraOracle : public DistanceOracle {
   DijkstraEngine engine_;
 };
 
-/// CH-backed oracle. Owns the hierarchy.
+/// CH-backed oracle. The hierarchy is shared immutably across clones, as
+/// HubLabelOracle shares its labels; each instance owns its query scratch.
 class ChOracle : public DistanceOracle {
  public:
   /// Builds the hierarchy for `network` (keeps no reference to it afterwards).
@@ -86,23 +79,20 @@ class ChOracle : public DistanceOracle {
                                                   const ChOptions& options = {});
   /// Wraps an already-built (e.g. snapshot-loaded) hierarchy.
   static std::unique_ptr<ChOracle> FromHierarchy(ContractionHierarchy ch);
+
+  explicit ChOracle(std::shared_ptr<const ContractionHierarchy> ch)
+      : ch_(std::move(ch)), query_(*ch_) {}
+
   Cost Distance(NodeId u, NodeId v) override;
-  /// Bucket-based many-to-many (see ChManyToMany); bitwise identical to
-  /// scalar queries.
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override;
-  bool SupportsBatch() const override { return true; }
-  /// Clones share the (immutable) hierarchy and own a fresh ChQuery.
+  /// Clones share the hierarchy (no rebuild, no copy) and own a fresh
+  /// ChQuery; a clone stays valid after this oracle is destroyed.
   std::unique_ptr<DistanceOracle> Clone() const override;
 
-  const ContractionHierarchy& hierarchy() const { return ch_; }
+  const ContractionHierarchy& hierarchy() const { return *ch_; }
 
  private:
-  explicit ChOracle(ContractionHierarchy ch)
-      : ch_(std::move(ch)), query_(ch_), m2m_(ch_) {}
-  ContractionHierarchy ch_;
+  std::shared_ptr<const ContractionHierarchy> ch_;
   ChQuery query_;
-  ChManyToMany m2m_;
 };
 
 }  // namespace urr

@@ -317,50 +317,6 @@ Cost HubLabels::Distance(NodeId u, NodeId v) const {
   return best;
 }
 
-void HubLabels::BatchDistances(std::span<const NodeId> sources,
-                               std::span<const NodeId> targets,
-                               Cost* out) const {
-  const size_t num_targets = targets.size();
-  std::fill(out, out + sources.size() * num_targets, kInfiniteCost);
-
-  // Gather the targets' backward labels into one hub-sorted array.
-  struct Triple {
-    NodeId hub;
-    int32_t target;
-    Cost cost;
-  };
-  std::vector<Triple> triples;
-  size_t total = 0;
-  for (const NodeId t : targets) total += BackwardHubs(t).size();
-  triples.reserve(total);
-  for (size_t j = 0; j < num_targets; ++j) {
-    const auto hubs = BackwardHubs(targets[j]);
-    const auto costs = BackwardCosts(targets[j]);
-    for (size_t k = 0; k < hubs.size(); ++k) {
-      triples.push_back({hubs[k], static_cast<int32_t>(j), costs[k]});
-    }
-  }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              return a.hub != b.hub ? a.hub < b.hub : a.target < b.target;
-            });
-
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const auto hubs = ForwardHubs(sources[i]);
-    const auto costs = ForwardCosts(sources[i]);
-    Cost* row = out + i * num_targets;
-    for (size_t k = 0; k < hubs.size(); ++k) {
-      auto lo = std::lower_bound(
-          triples.begin(), triples.end(), hubs[k],
-          [](const Triple& e, NodeId key) { return e.hub < key; });
-      for (; lo != triples.end() && lo->hub == hubs[k]; ++lo) {
-        const Cost sum = costs[k] + lo->cost;
-        if (sum < row[lo->target]) row[lo->target] = sum;
-      }
-    }
-  }
-}
-
 Result<std::unique_ptr<HubLabelOracle>> HubLabelOracle::Create(
     const RoadNetwork& network, const ChOptions& options) {
   URR_ASSIGN_OR_RETURN(ContractionHierarchy ch,
@@ -378,13 +334,6 @@ Result<std::unique_ptr<HubLabelOracle>> HubLabelOracle::FromHierarchy(
 Cost HubLabelOracle::Distance(NodeId u, NodeId v) {
   ++num_calls_;
   return labels_->Distance(u, v);
-}
-
-void HubLabelOracle::BatchDistances(std::span<const NodeId> sources,
-                                    std::span<const NodeId> targets,
-                                    Cost* out) {
-  num_calls_ += static_cast<int64_t>(sources.size() * targets.size());
-  labels_->BatchDistances(sources, targets, out);
 }
 
 std::unique_ptr<DistanceOracle> HubLabelOracle::Clone() const {

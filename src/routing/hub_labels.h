@@ -3,8 +3,7 @@
 // CH search space, so a point-to-point query is a sorted merge-join over two
 // small arrays instead of a bidirectional graph search. Labels are exact —
 // they are the settled sets of complete upward searches, pruned only when a
-// higher hub already covers the entry — and the oracle's batched
-// many-to-many API amortizes label scans across whole candidate waves.
+// higher hub already covers the entry.
 #ifndef URR_ROUTING_HUB_LABELS_H_
 #define URR_ROUTING_HUB_LABELS_H_
 
@@ -42,14 +41,6 @@ class HubLabels {
   /// Exact shortest-path cost by merge-join over Lf(u) and Lb(v);
   /// kInfiniteCost when the labels share no hub.
   Cost Distance(NodeId u, NodeId v) const;
-
-  /// Bucket-based many-to-many: gathers the targets' backward labels into
-  /// one hub-sorted array, then answers every source row with binary
-  /// searches per forward-label entry. Fills out[i * targets.size() + j]
-  /// with Distance(sources[i], targets[j]); values are identical to the
-  /// scalar query (same candidate set, same sums).
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) const;
 
   NodeId num_nodes() const { return num_nodes_; }
   /// Total label entries over both directions (size accounting).
@@ -120,9 +111,6 @@ class HubLabelOracle : public DistanceOracle {
       : labels_(std::move(labels)) {}
 
   Cost Distance(NodeId u, NodeId v) override;
-  void BatchDistances(std::span<const NodeId> sources,
-                      std::span<const NodeId> targets, Cost* out) override;
-  bool SupportsBatch() const override { return true; }
   /// Clones share the immutable label store (no rebuild, no copy).
   std::unique_ptr<DistanceOracle> Clone() const override;
 

@@ -332,17 +332,9 @@ Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
                          const std::string& path) {
   const std::string bytes = SerializeIndexSnapshot(snapshot);
   const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open '" + tmp +
-                           "' for writing: " + std::strerror(errno));
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
+  if (Status written = WriteFile(tmp, bytes); !written.ok()) {
     std::remove(tmp.c_str());
-    return Status::IOError("short write to '" + tmp + "'");
+    return written;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

@@ -368,20 +368,11 @@ void TransferSequence::Rebuild() {
   flex_.resize(w);
   onboard_.resize(w);
 
-  // Forward pass: leg costs and earliest arrivals (Eq. 6). All legs go to
-  // the oracle as one element-wise batch; the default implementation loops
-  // Distance in leg order, so values, call counts and cache behavior are
-  // identical to per-leg queries.
-  if (w > 0) {
-    std::vector<NodeId> leg_from(w);
-    std::vector<NodeId> leg_to(w);
-    for (size_t u = 0; u < w; ++u) {
-      leg_from[u] = LegOrigin(static_cast<int>(u));
-      leg_to[u] = stops_[u].location;
-    }
-    oracle_->BatchPairwise(leg_from, leg_to, leg_cost_.data());
-  }
+  // Forward pass: leg costs and earliest arrivals (Eq. 6), one oracle query
+  // per leg in leg order.
   for (size_t u = 0; u < w; ++u) {
+    leg_cost_[u] =
+        oracle_->Distance(LegOrigin(static_cast<int>(u)), stops_[u].location);
     arrival_[u] = (u == 0 ? now_ : arrival_[u - 1]) + leg_cost_[u];
   }
   // Backward pass: latest completion times (Eq. 7) and flex times (Eq. 8).

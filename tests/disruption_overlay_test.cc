@@ -187,36 +187,5 @@ TEST(DisruptionOverlayTest, FactorsBelowOneAreClampedToWeightIncreases) {
   }
 }
 
-TEST(DisruptionOverlayTest, BatchPathsMatchScalarPath) {
-  const RoadNetwork g = MakeCity(13);
-  DijkstraOracle base(g);
-  auto state = std::make_shared<DisruptionState>(g);
-  auto stats = std::make_shared<OverlayStats>();
-  DisruptionOverlay overlay(&base, g, state, stats);
-  const auto edge_list = g.EdgeList();
-  Rng rng(14);
-  for (int k = 0; k < 5; ++k) {
-    const auto& [a, b, c] =
-        edge_list[static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(edge_list.size()) - 1))];
-    state->Disrupt(a, b, k % 2 == 0 ? kInfiniteCost : 5.0);
-  }
-  std::vector<NodeId> us, vs;
-  for (int q = 0; q < 64; ++q) {
-    us.push_back(static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)));
-    vs.push_back(static_cast<NodeId>(rng.UniformInt(0, g.num_nodes() - 1)));
-  }
-  std::vector<Cost> batch(us.size());
-  overlay.BatchPairwise(us, vs, batch.data());
-  for (size_t i = 0; i < us.size(); ++i) {
-    const Cost scalar = overlay.Distance(us[i], vs[i]);
-    if (std::isinf(scalar)) {
-      EXPECT_TRUE(std::isinf(batch[i]));
-    } else {
-      EXPECT_DOUBLE_EQ(batch[i], scalar);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace urr

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 
@@ -33,6 +35,34 @@ TEST(DistanceOracleTest, ChOracleMatchesDijkstraOracle) {
     const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
     EXPECT_NEAR((*ch)->Distance(s, t), ref.Distance(s, t), 1e-6);
   }
+}
+
+// A clone shares the hierarchy instead of borrowing it, so it keeps
+// answering after the oracle it was cloned from is destroyed.
+TEST(DistanceOracleTest, ChCloneOutlivesOriginal) {
+  Rng rng(52);
+  GridCityOptions opt;
+  opt.width = 10;
+  opt.height = 10;
+  auto g = GenerateGridCity(opt, &rng);
+  ASSERT_TRUE(g.ok());
+  auto ch = ChOracle::Create(*g);
+  ASSERT_TRUE(ch.ok());
+  std::unique_ptr<DistanceOracle> clone = (*ch)->Clone();
+  ASSERT_NE(clone, nullptr);
+  const ContractionHierarchy* hierarchy = &(*ch)->hierarchy();
+  ch->reset();
+  DijkstraOracle ref(*g);
+  for (int i = 0; i < 50; ++i) {
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
+    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
+    EXPECT_NEAR(clone->Distance(s, t), ref.Distance(s, t), 1e-6);
+  }
+  EXPECT_EQ(clone->num_calls(), 50);
+  // Shared, not copied: the clone is another ChOracle over the same store.
+  auto* typed = dynamic_cast<ChOracle*>(clone.get());
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(&typed->hierarchy(), hierarchy);
 }
 
 }  // namespace

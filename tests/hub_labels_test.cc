@@ -111,52 +111,6 @@ a 3 6 11
   }
 }
 
-// The load-bearing claim for batched candidate evaluation: each oracle's
-// many-to-many rectangle is bitwise identical to its own scalar queries,
-// even on jittered (non-quantized) generator costs.
-TEST(HubLabelsTest, BatchedRectanglesMatchScalarBitwise) {
-  const RoadNetwork net = SmallCity(29);
-  auto ch = ChOracle::Create(net);
-  ASSERT_TRUE(ch.ok());
-  auto hl = HubLabelOracle::FromHierarchy((*ch)->hierarchy());
-  ASSERT_TRUE(hl.ok());
-  DijkstraOracle dij(net);
-
-  Rng rng(31);
-  std::vector<NodeId> sources, targets;
-  for (int i = 0; i < 17; ++i) {
-    sources.push_back(static_cast<NodeId>(rng.UniformInt(0, net.num_nodes() - 1)));
-  }
-  for (int i = 0; i < 23; ++i) {
-    targets.push_back(static_cast<NodeId>(rng.UniformInt(0, net.num_nodes() - 1)));
-  }
-  // Include a source == target diagonal and duplicate columns on purpose.
-  targets[3] = sources[2];
-  targets[11] = targets[4];
-
-  std::vector<DistanceOracle*> contenders = {&dij, ch->get(), hl->get()};
-  for (DistanceOracle* oracle : contenders) {
-    ASSERT_TRUE(oracle->SupportsBatch());
-    std::vector<Cost> batched(sources.size() * targets.size());
-    oracle->BatchDistances(sources, targets, batched.data());
-    for (size_t i = 0; i < sources.size(); ++i) {
-      for (size_t j = 0; j < targets.size(); ++j) {
-        EXPECT_EQ(BitsOf(batched[i * targets.size() + j]),
-                  BitsOf(oracle->Distance(sources[i], targets[j])))
-            << sources[i] << "->" << targets[j];
-      }
-    }
-    // Element-wise batch too (used by Rebuild and GBS classify).
-    std::vector<NodeId> us(sources.begin(), sources.end());
-    std::vector<NodeId> vs(targets.begin(), targets.begin() + sources.size());
-    std::vector<Cost> pairwise(us.size());
-    oracle->BatchPairwise(us, vs, pairwise.data());
-    for (size_t k = 0; k < us.size(); ++k) {
-      EXPECT_EQ(BitsOf(pairwise[k]), BitsOf(oracle->Distance(us[k], vs[k])));
-    }
-  }
-}
-
 TEST(HubLabelsTest, CloneSharesLabelStoreAndIsIndependent) {
   const RoadNetwork net = SmallCity(13, 8, 8);
   auto hl = HubLabelOracle::Create(net);

@@ -416,7 +416,7 @@ std::string RunOnQuantizedGrid(uint64_t seed, int riders, int vehicles,
 // The exactness claim, end to end: with quantized edge costs the whole
 // solver output — assignment, stops, utility and cost bits — under hub
 // labels (production) and under the CH is identical to the Dijkstra
-// reference, serial or batched, at any thread count.
+// reference, serial or parallel, at any thread count.
 TEST(ParallelDifferentialTest, QuantizedGridsHubLabelsAndChMatchDijkstra) {
   struct Scenario {
     uint64_t seed;

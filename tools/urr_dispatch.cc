@@ -53,7 +53,6 @@ struct Options {
   int threads = 0;  // 0 = URR_THREADS env, 1 = serial
   std::string out_path;
   bool json = false;  // machine-readable SolutionMetrics instead of the table
-  bool use_eval_cache = true;   // --no-eval-cache
   bool help = false;
 };
 
@@ -83,8 +82,6 @@ solver:
   --out FILE.csv          dump the resulting schedules
   --json                  print SolutionMetrics as one JSON object instead
                           of the human-readable tables
-  --no-eval-cache         disable the (rider, vehicle, schedule-version)
-                          evaluation cache (the solution stays byte-identical)
 
 )");
 }
@@ -132,8 +129,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       *nt->second = std::atoi(v.c_str());
     } else if (flag == "--json") {
       opt.json = true;
-    } else if (flag == "--no-eval-cache") {
-      opt.use_eval_cache = false;
     } else if (flag == "--seed") {
       URR_ASSIGN_OR_RETURN(std::string v, need_value());
       opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
@@ -227,12 +222,12 @@ Status Run(const Options& opt) {
   ctx.rng = &rng;
   ctx.euclid_speed = network.MaxSpeed();
 
-  // --- Evaluation path (the cache is a pure optimization — the solution is
-  // byte-identical either way) and retrieval counters. --------------------------
+  // --- Evaluation cache (a pure optimization: the solution is byte-identical
+  // without it) and retrieval counters. -----------------------------------------
   EvalCache eval_cache;
   EvalCounters counters;
   RetrievalStats retrieval_stats;
-  ctx.eval_cache = opt.use_eval_cache ? &eval_cache : nullptr;
+  ctx.eval_cache = &eval_cache;
   ctx.counters = &counters;
   ctx.retrieval_stats = &retrieval_stats;
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "common/binary_io.h"
 #include "common/table.h"
 #include "engine/engine.h"
 #include "exp/harness.h"
@@ -50,7 +51,6 @@ struct Options {
   bool json = false;           // machine-readable EngineMetrics
   bool windows = false;        // include the per-window array in the JSON
   bool verify_replay = false;  // replay the log and compare
-  bool no_eval_cache = false;  // disable the cross-window eval cache
   // Fault injection (seeded, replayable; all zero = no faults).
   double breakdown_fraction = 0;   // share of vehicles that break down
   double no_show_fraction = 0;     // share of riders absent at pickup
@@ -104,10 +104,6 @@ output:
                           (exits non-zero printing the first diverging event)
   --verify-replay         rebuild the input from the log, re-run a fresh
                           engine and require byte-identical log + fleet state
-
-evaluation path:
-  --no-eval-cache         disable the cross-window evaluation cache (the log
-                          and fleet state stay byte-identical)
 
 fault injection (seeded and replayable; all defaults off):
   --breakdown-fraction F  share of vehicles that break down mid-run
@@ -173,7 +169,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       {"--json", &opt.json},
       {"--windows", &opt.windows},
       {"--verify-replay", &opt.verify_replay},
-      {"--no-eval-cache", &opt.no_eval_cache},
       {"--verify-restore", &opt.verify_restore},
       {"--validate-invariants", &opt.validate_invariants},
   };
@@ -210,15 +205,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) return Status::IOError("short write " + path);
-  return Status::OK();
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -328,7 +314,6 @@ Status Run(const Options& opt) {
   ecfg.solver = solver;
   ecfg.max_queue = opt.max_queue;
   ecfg.seed = opt.seed;
-  ecfg.use_eval_cache = !opt.no_eval_cache;
   ecfg.gbs = cfg.gbs;
   ecfg.max_redispatch = opt.max_redispatch;
   ecfg.redispatch_backoff = opt.redispatch_backoff;

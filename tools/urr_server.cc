@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "common/binary_io.h"
 #include "engine/engine.h"
 #include "exp/harness.h"
 #include "server/server.h"
@@ -228,15 +229,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) return Status::IOError("short write " + path);
-  return Status::OK();
 }
 
 Status Run(const Options& opt) {
