@@ -45,12 +45,16 @@ int main() {
   instance.vehicles = {{1, 2}, {5, 2}};
 
   // --- Table 1: the vehicle-related utility matrix. -------------------------
-  instance.vehicle_utility = {
+  const Status published = instance.SetVehicleUtility({
       0.2f, 0.4f,   // r1 -> c1, c2
       0.6f, 0.3f,   // r2
       0.2f, 0.8f,   // r3
       0.2f, 1.0f,   // r4
-  };
+  });
+  if (!published.ok()) {
+    std::fprintf(stderr, "mu_v: %s\n", published.ToString().c_str());
+    return 1;
+  }
 
   // --- Figure 2: social connections between the riders. --------------------
   // r1-r2, r2-r3, r3-r4 are friends (a chain), so e.g. s(r1, r3) counts

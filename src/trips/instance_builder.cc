@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "trips/preferences.h"
 
@@ -147,8 +149,8 @@ Status InstanceBuilder::Finalize(const InstanceOptions& options, Rng* rng,
     for (size_t j = 0; j < instance->vehicles.size(); ++j) {
       attrs.push_back(SampleVehicleAttributes(rng));
     }
-    instance->vehicle_utility = BuildPreferenceUtilityMatrix(prefs, attrs);
-    return Status::OK();
+    return instance->SetVehicleUtility(
+        BuildPreferenceUtilityMatrix(prefs, attrs));
   }
   // Latent-factor μ_v matrix: rider preference and vehicle feature vectors
   // in [0,1]^rank; μ_v = normalized dot product (∈ [0,1]).
@@ -159,7 +161,7 @@ Status InstanceBuilder::Finalize(const InstanceOptions& options, Rng* rng,
   std::vector<double> vehicle_feat(n * static_cast<size_t>(rank));
   for (double& x : rider_pref) x = rng->Uniform();
   for (double& x : vehicle_feat) x = rng->Uniform();
-  instance->vehicle_utility.resize(m * n);
+  std::vector<float> mu(m * n);
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
       double dot = 0;
@@ -170,11 +172,11 @@ Status InstanceBuilder::Finalize(const InstanceOptions& options, Rng* rng,
       // sqrt maps the mean of a product-of-uniforms dot (~0.25) to ~0.5,
       // matching the magnitude of the paper's Table-1 preference values
       // while staying monotone and inside [0,1].
-      instance->vehicle_utility[i * n + j] =
+      mu[i * n + j] =
           static_cast<float>(std::sqrt(dot / static_cast<double>(rank)));
     }
   }
-  return Status::OK();
+  return instance->SetVehicleUtility(std::move(mu));
 }
 
 }  // namespace urr

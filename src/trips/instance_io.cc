@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 namespace urr {
 
@@ -59,7 +61,7 @@ CsvTable InstanceToCsv(const UrrInstance& instance) {
     table.rows.push_back({"vehicle", std::to_string(v.location),
                           std::to_string(v.capacity), "", "", ""});
   }
-  if (!instance.vehicle_utility.empty()) {
+  if (instance.vehicle_utility != nullptr) {
     for (int i = 0; i < instance.num_riders(); ++i) {
       for (int j = 0; j < instance.num_vehicles(); ++j) {
         table.rows.push_back({"mu_v", std::to_string(i), std::to_string(j),
@@ -144,10 +146,9 @@ Result<UrrInstance> InstanceFromCsv(const CsvTable& table, NodeId num_nodes) {
     return Status::InvalidArgument("meta counts disagree with row counts");
   }
   if (has_matrix) {
-    instance.vehicle_utility.assign(
-        static_cast<size_t>(instance.num_riders()) *
-            static_cast<size_t>(instance.num_vehicles()),
-        0.0f);
+    std::vector<float> mu(static_cast<size_t>(instance.num_riders()) *
+                              static_cast<size_t>(instance.num_vehicles()),
+                          0.0f);
     for (const auto& row : table.rows) {
       if (row[0] != "mu_v") continue;
       URR_ASSIGN_OR_RETURN(int64_t i, ParseInt(row[1], "mu_v rider"));
@@ -160,11 +161,10 @@ Result<UrrInstance> InstanceFromCsv(const CsvTable& table, NodeId num_nodes) {
       if (!(value >= 0 && value <= 1)) {  // negated so NaN lands here too
         return Status::InvalidArgument("mu_v outside [0,1]");
       }
-      instance.vehicle_utility[static_cast<size_t>(i) *
-                                   static_cast<size_t>(instance.num_vehicles()) +
-                               static_cast<size_t>(j)] =
-          static_cast<float>(value);
+      mu[static_cast<size_t>(i) * static_cast<size_t>(instance.num_vehicles()) +
+         static_cast<size_t>(j)] = static_cast<float>(value);
     }
+    URR_RETURN_NOT_OK(instance.SetVehicleUtility(std::move(mu)));
   }
   return instance;
 }

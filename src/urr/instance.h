@@ -3,8 +3,12 @@
 #ifndef URR_URR_INSTANCE_H_
 #define URR_URR_INSTANCE_H_
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "sched/insertion.h"
 #include "social/history_similarity.h"
 #include "social/social_graph.h"
@@ -27,7 +31,9 @@ struct Vehicle {
   int capacity = 3;                // a_j
 };
 
-/// One URR instance. Borrowed pointers must outlive the instance.
+/// One URR instance. Borrowed pointers must outlive the instance. Copies
+/// share the μ_v matrix (immutable once published); riders, vehicles and
+/// `now` are per-copy values.
 struct UrrInstance {
   const RoadNetwork* network = nullptr;
   const SocialGraph* social = nullptr;
@@ -37,20 +43,42 @@ struct UrrInstance {
   std::vector<Rider> riders;
   std::vector<Vehicle> vehicles;
   /// Row-major riders x vehicles matrix of vehicle-related utilities
-  /// μ_v(r_i, c_j) in [0,1]. May be empty, meaning μ_v ≡ 0.
-  std::vector<float> vehicle_utility;
+  /// μ_v(r_i, c_j) in [0,1], or null, meaning μ_v ≡ 0. Immutable and
+  /// shared by every copy of the instance, so copying an instance never
+  /// costs riders x vehicles. Written only through SetVehicleUtility.
+  std::shared_ptr<const std::vector<float>> vehicle_utility;
   /// Current timestamp t̄ (all deadlines are absolute in the same clock).
   Cost now = 0;
 
   int num_riders() const { return static_cast<int>(riders.size()); }
   int num_vehicles() const { return static_cast<int>(vehicles.size()); }
 
+  /// Publishes the row-major μ_v matrix; call after riders and vehicles
+  /// are set. An empty matrix means μ_v ≡ 0; any other size than
+  /// riders x vehicles is rejected.
+  Status SetVehicleUtility(std::vector<float> mu) {
+    if (mu.empty()) {
+      vehicle_utility.reset();
+      return Status::OK();
+    }
+    const size_t expected = riders.size() * vehicles.size();
+    if (mu.size() != expected) {
+      return Status::InvalidArgument(
+          "vehicle utility matrix has " + std::to_string(mu.size()) +
+          " entries, expected " + std::to_string(riders.size()) +
+          " riders x " + std::to_string(vehicles.size()) + " vehicles = " +
+          std::to_string(expected));
+    }
+    vehicle_utility = std::make_shared<const std::vector<float>>(std::move(mu));
+    return Status::OK();
+  }
+
   /// μ_v(r_i, c_j).
   double VehicleUtility(RiderId i, int j) const {
-    if (vehicle_utility.empty()) return 0.0;
-    return vehicle_utility[static_cast<size_t>(i) *
-                               static_cast<size_t>(vehicles.size()) +
-                           static_cast<size_t>(j)];
+    if (vehicle_utility == nullptr) return 0.0;
+    return (*vehicle_utility)[static_cast<size_t>(i) *
+                                  static_cast<size_t>(vehicles.size()) +
+                              static_cast<size_t>(j)];
   }
 
   /// The rider's trip in scheduler form.

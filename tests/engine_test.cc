@@ -116,6 +116,32 @@ TEST(EngineTest, LifecycleCountsAddUp) {
   EXPECT_NEAR(sum, m.booked_utility, 1e-9);
 }
 
+// The μ_v matrix is published once and shared: the workload, the engine
+// and a workload rebuilt from the log all read the world's one copy.
+TEST(EngineTest, InstanceCopiesShareOneVehicleUtilityMatrix) {
+  auto world = SmallWorld();
+  const std::vector<float>* base = world->instance.vehicle_utility.get();
+  ASSERT_NE(base, nullptr);
+  const StreamingWorkload workload = MakeWorkload(*world, 1.0, 0.3);
+  EngineConfig cfg;
+  cfg.window = 0;
+  EngineRun run(world.get(), &workload, cfg);
+  ASSERT_TRUE(run.engine.Run().ok());
+  auto replayed = WorkloadFromLog(workload, run.engine.event_log());
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  const UrrInstance* copies[] = {&workload.instance, &replayed->instance,
+                                 &run.engine.instance()};
+  for (const UrrInstance* copy : copies) {
+    EXPECT_EQ(copy->vehicle_utility.get(), base);
+    for (RiderId i = 0; i < world->instance.num_riders(); i += 7) {
+      for (int j = 0; j < world->instance.num_vehicles(); j += 3) {
+        EXPECT_EQ(copy->VehicleUtility(i, j),
+                  world->instance.VehicleUtility(i, j));
+      }
+    }
+  }
+}
+
 TEST(EngineTest, EventLogTimesAreNonDecreasing) {
   auto world = SmallWorld();
   const StreamingWorkload workload = MakeWorkload(*world, 1.0, 0.3);

@@ -57,12 +57,13 @@ std::unique_ptr<TinyWorld> MakeTiny(int num_riders, int num_vehicles,
     locations.push_back(loc);
   }
   // Random μ_v matrix.
+  std::vector<float> mu;
   for (int i = 0; i < num_riders; ++i) {
     for (int j = 0; j < num_vehicles; ++j) {
-      w->instance.vehicle_utility.push_back(
-          static_cast<float>(w->rng.Uniform()));
+      mu.push_back(static_cast<float>(w->rng.Uniform()));
     }
   }
+  EXPECT_TRUE(w->instance.SetVehicleUtility(std::move(mu)).ok());
   w->model = std::make_unique<UtilityModel>(&w->instance, params);
   w->index = std::make_unique<VehicleIndex>(w->network, locations);
   return w;
@@ -143,7 +144,7 @@ TEST(OptimalTest, KnapsackStyleInstance) {
   };
   inst.vehicles = {{0, 1}};  // capacity 1: trips are served sequentially
   // values via μ_v: rider 0 -> 0.3, rider 1 -> 0.9, rider 2 -> 0.5.
-  inst.vehicle_utility = {0.3f, 0.9f, 0.5f};
+  ASSERT_TRUE(inst.SetVehicleUtility({0.3f, 0.9f, 0.5f}).ok());
   UtilityModel model(&inst, UtilityParams{1.0, 0.0});  // α=1: value = μ_v
   Rng rng(1);
   VehicleIndex index(*g, {0});

@@ -251,9 +251,11 @@ std::unique_ptr<GridWorld> MakeGridWorld(uint64_t seed, int riders,
     w->instance.vehicles.push_back({loc, capacity});
     locations.push_back(loc);
   }
+  std::vector<float> mu;
   for (int i = 0; i < riders * vehicles; ++i) {
-    w->instance.vehicle_utility.push_back(static_cast<float>(w->rng.Uniform()));
+    mu.push_back(static_cast<float>(w->rng.Uniform()));
   }
+  EXPECT_TRUE(w->instance.SetVehicleUtility(std::move(mu)).ok());
   w->model = std::make_unique<UtilityModel>(&w->instance,
                                             UtilityParams{0.33, 0.33});
   w->index = std::make_unique<VehicleIndex>(w->network, locations);

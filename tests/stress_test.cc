@@ -80,12 +80,13 @@ std::unique_ptr<StressWorld> MakeStressWorld(uint64_t seed, int riders,
     w->instance.vehicles.push_back({loc, capacity});
     locations.push_back(loc);
   }
+  std::vector<float> mu;
   for (int i = 0; i < riders; ++i) {
     for (int j = 0; j < vehicles; ++j) {
-      w->instance.vehicle_utility.push_back(
-          static_cast<float>(w->rng.Uniform()));
+      mu.push_back(static_cast<float>(w->rng.Uniform()));
     }
   }
+  EXPECT_TRUE(w->instance.SetVehicleUtility(std::move(mu)).ok());
   w->model = std::make_unique<UtilityModel>(
       &w->instance,
       UtilityParams{w->rng.Uniform(0, 0.5), w->rng.Uniform(0, 0.5)});

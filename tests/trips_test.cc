@@ -208,7 +208,8 @@ TEST_F(InstanceBuilderTest, VehicleUtilityMatrixInRange) {
   opt.num_vehicles = 5;
   auto instance = builder.BuildFromRecords(records_, opt, rng_.get());
   ASSERT_TRUE(instance.ok());
-  ASSERT_EQ(instance->vehicle_utility.size(), 100u);
+  ASSERT_NE(instance->vehicle_utility, nullptr);
+  ASSERT_EQ(instance->vehicle_utility->size(), 100u);
   for (int i = 0; i < 20; ++i) {
     for (int j = 0; j < 5; ++j) {
       const double mu = instance->VehicleUtility(i, j);

@@ -45,7 +45,7 @@ TEST(UmbrellaTest, PublicSurfaceIsComplete) {
   instance.social = &*social;
   instance.riders = {{0, 7, 10, 30, 0}, {4, 6, 12, 40, 1}};
   instance.vehicles = {{1, 2}, {5, 2}};
-  instance.vehicle_utility = {0.5f, 0.5f, 0.5f, 0.5f};
+  ASSERT_TRUE(instance.SetVehicleUtility({0.5f, 0.5f, 0.5f, 0.5f}).ok());
   UtilityModel model(&instance, UtilityParams{0.33, 0.33});
   VehicleIndex index(*network, {1, 5});
   SolverContext ctx;

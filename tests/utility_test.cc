@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -23,6 +26,53 @@ TEST(TrajectoryUtilityTest, Equation5Values) {
   EXPECT_LE(TrajectoryUtility(50.0), 1.0);
   // σ < 1 clamps (float noise guard).
   EXPECT_DOUBLE_EQ(TrajectoryUtility(0.999), 1.0);
+}
+
+// A 3-rider x 2-vehicle instance with no μ_v published yet.
+UrrInstance ThreeByTwo() {
+  UrrInstance instance;
+  instance.riders.resize(3);
+  instance.vehicles.resize(2);
+  return instance;
+}
+
+TEST(VehicleUtilityMatrixTest, RejectsMatrixOneEntryShort) {
+  UrrInstance instance = ThreeByTwo();
+  const Status st = instance.SetVehicleUtility(std::vector<float>(5, 0.5f));
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  EXPECT_NE(st.message().find("has 5 entries"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("3 riders x 2 vehicles"), std::string::npos)
+      << st;
+  EXPECT_EQ(instance.vehicle_utility, nullptr);
+  EXPECT_DOUBLE_EQ(instance.VehicleUtility(2, 1), 0.0);
+}
+
+TEST(VehicleUtilityMatrixTest, EmptyMatrixMeansZero) {
+  UrrInstance instance = ThreeByTwo();
+  ASSERT_TRUE(instance.SetVehicleUtility(std::vector<float>(6, 0.5f)).ok());
+  ASSERT_TRUE(instance.SetVehicleUtility({}).ok());
+  EXPECT_EQ(instance.vehicle_utility, nullptr);
+  for (RiderId i = 0; i < 3; ++i) {
+    for (int j = 0; j < 2; ++j) EXPECT_EQ(instance.VehicleUtility(i, j), 0.0);
+  }
+}
+
+TEST(VehicleUtilityMatrixTest, ExactMatrixReadsBackBitwiseAndIsShared) {
+  UrrInstance instance = ThreeByTwo();
+  const std::vector<float> mu = {0.1f, 1.0f / 3.0f, 0.0f, 1.0f,
+                                 std::nextafter(0.5f, 1.0f), 0.7f};
+  ASSERT_TRUE(instance.SetVehicleUtility(mu).ok());
+  const UrrInstance copy = instance;
+  EXPECT_EQ(copy.vehicle_utility.get(), instance.vehicle_utility.get());
+  for (RiderId i = 0; i < 3; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const float want = mu[static_cast<size_t>(i) * 2 + static_cast<size_t>(j)];
+      EXPECT_EQ(std::bit_cast<uint32_t>(
+                    static_cast<float>(copy.VehicleUtility(i, j))),
+                std::bit_cast<uint32_t>(want))
+          << "rider " << i << " vehicle " << j;
+    }
+  }
 }
 
 class UtilityModelTest : public ::testing::Test {
@@ -52,7 +102,9 @@ class UtilityModelTest : public ::testing::Test {
     };
     instance_.vehicles = {{0, 3}, {4, 3}};
     // μ_v matrix rows: rider x vehicle.
-    instance_.vehicle_utility = {0.2f, 0.4f, 0.6f, 0.3f, 0.8f, 1.0f};
+    ASSERT_TRUE(instance_
+                    .SetVehicleUtility({0.2f, 0.4f, 0.6f, 0.3f, 0.8f, 1.0f})
+                    .ok());
   }
 
   UrrInstance instance_;
