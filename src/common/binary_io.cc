@@ -31,4 +31,26 @@ Status WriteFile(const std::string& path, std::string_view content) {
   return Status::OK();
 }
 
+Result<std::string> ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    if (errno == ENOENT) return Status::NotFound(path + " does not exist");
+    return Status::IOError("cannot open '" + path +
+                           "': " + std::strerror(errno));
+  }
+  std::string content;
+  char buf[1 << 16];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    content.append(buf, got);
+  }
+  const int read_errno = std::ferror(f) != 0 ? errno : 0;
+  std::fclose(f);
+  if (read_errno != 0) {
+    return Status::IOError("cannot read '" + path +
+                           "': " + std::strerror(read_errno));
+  }
+  return content;
+}
+
 }  // namespace urr

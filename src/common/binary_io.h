@@ -15,7 +15,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/status.h"
+#include "common/result.h"
 
 namespace urr {
 
@@ -32,6 +32,11 @@ uint64_t Fnv1a64(const void* data, size_t size,
 /// the flush and the close, so a full disk or a failing device is an
 /// IOError rather than a silently truncated file.
 Status WriteFile(const std::string& path, std::string_view content);
+
+/// Reads the whole file at `path`. NotFound when it does not exist; IOError
+/// when it cannot be opened or a read fails (a directory is an IOError, not
+/// an empty file).
+Result<std::string> ReadFile(const std::string& path);
 
 /// Append-only serializer into an owned byte string.
 class BinaryWriter {

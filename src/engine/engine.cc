@@ -624,8 +624,8 @@ void DispatchEngine::HandleArrival(const Pending& e) {
   ++metrics_.total_arrivals;
   ++window_arrivals_;
   if (config_.window <= 0) {
-    // Per-arrival degenerate mode: exactly OnlineDispatcher's decision rule
-    // (shared helper), committed immediately.
+    // Per-arrival degenerate mode: the EvaluateArrival decision rule,
+    // committed immediately.
     Stopwatch watch;
     const DispatchDecision d = EvaluateArrival(instance_, &ctx_, solution_, r,
                                                config_.online_objective);

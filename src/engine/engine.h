@@ -7,8 +7,9 @@
 // their committed legs and keep onboard riders), solves the queued riders
 // with one of the batch approaches as a warm-start sub-instance, and
 // commits the winners as Algorithm-1 schedule extensions. W = 0 degenerates
-// to OnlineDispatcher (same shared decision helper, so the differential is
-// exact); a window larger than the workload recovers pure batch.
+// to per-arrival dispatch: each arrival is committed at once with the
+// EvaluateArrival decision (urr/online.h), the production online path; a
+// window larger than the workload recovers pure batch.
 //
 // Determinism: the loop is single-threaded; window solves inherit the
 // repo's bit-identical parallel evaluation; wall-clock latencies feed only
@@ -53,7 +54,7 @@ bool ParseWindowSolver(std::string_view name, WindowSolver* out);
 
 struct EngineConfig {
   /// Micro-batch window length W in clock units. 0 = dispatch every arrival
-  /// immediately (OnlineDispatcher-equivalent).
+  /// immediately (per-arrival EvaluateArrival decisions).
   Cost window = 10;
   WindowSolver solver = WindowSolver::kEfficientGreedy;
   /// Objective of the per-arrival path when window == 0.

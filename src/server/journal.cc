@@ -47,27 +47,6 @@ Status WriteAllFd(int fd, std::string_view bytes, const std::string& what) {
   return Status::OK();
 }
 
-Result<std::string> ReadWholeFile(const std::string& path, bool* missing) {
-  *missing = false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) {
-      *missing = true;
-      return std::string();
-    }
-    return Status::IOError("cannot open " + path + ": " +
-                           std::string(std::strerror(errno)));
-  }
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IOError("read error on " + path);
-  return out;
-}
-
 }  // namespace
 
 std::string EncodeJournalRecord(std::string_view payload) {
@@ -126,11 +105,13 @@ Status RequestJournal::Append(std::string_view payload) {
 }
 
 Result<JournalScan> ScanJournal(const std::string& path) {
-  bool missing = false;
-  URR_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path, &missing));
+  Result<std::string> read = ReadFile(path);
   JournalScan scan;
+  if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
+    return scan;  // no journal yet: empty valid prefix
+  }
+  URR_ASSIGN_OR_RETURN(std::string bytes, std::move(read));
   scan.file_bytes = bytes.size();
-  if (missing) return scan;  // no journal yet: empty valid prefix
   size_t off = 0;
   while (off < bytes.size()) {
     const size_t left = bytes.size() - off;
@@ -248,9 +229,11 @@ Status WriteServiceCheckpoint(const std::string& dir,
 }
 
 Result<ServiceCheckpoint> ReadServiceCheckpoint(const std::string& path) {
-  bool missing = false;
-  URR_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path, &missing));
-  if (missing) return Status::IOError("checkpoint " + path + " is missing");
+  Result<std::string> read = ReadFile(path);
+  if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
+    return Status::IOError("checkpoint " + path + " is missing");
+  }
+  URR_ASSIGN_OR_RETURN(std::string bytes, std::move(read));
   // Verify the whole-file checksum first: the trailer is the final line.
   const size_t trailer = bytes.rfind("checksum ");
   if (trailer == std::string::npos ||

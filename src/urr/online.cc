@@ -2,24 +2,6 @@
 
 namespace urr {
 
-OnlineDispatcher::OnlineDispatcher(const UrrInstance* instance,
-                                   SolverContext* ctx,
-                                   OnlineObjective objective)
-    : instance_(instance),
-      ctx_(ctx),
-      objective_(objective),
-      solution_(MakeEmptySolution(*instance, ctx->oracle)) {}
-
-const char* RejectReasonName(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kNone: return "none";
-    case RejectReason::kNoReachableVehicle: return "no_reachable_vehicle";
-    case RejectReason::kCapacity: return "capacity";
-    case RejectReason::kDeadline: return "deadline";
-  }
-  return "unknown";
-}
-
 DispatchDecision EvaluateArrival(const UrrInstance& instance,
                                  SolverContext* ctx, const UrrSolution& sol,
                                  RiderId rider, OnlineObjective objective) {
@@ -67,40 +49,6 @@ DispatchDecision EvaluateArrival(const UrrInstance& instance,
                                        : RejectReason::kDeadline;
   }
   return best;
-}
-
-DispatchDecision OnlineDispatcher::Dispatch(RiderId rider) {
-  DispatchDecision best =
-      EvaluateArrival(*instance_, ctx_, solution_, rider, objective_);
-  if (best.accepted) {
-    TransferSequence& seq = solution_.schedules[static_cast<size_t>(best.vehicle)];
-    // Re-derive the plan on the live schedule (it may have changed since the
-    // eval if callers interleave; within Dispatch it has not, so this is the
-    // same plan) and commit.
-    const Status applied =
-        ApplyInsertion(&seq, instance_->Trip(rider), best.plan);
-    if (!applied.ok()) {
-      best = DispatchDecision{};
-      best.reason = RejectReason::kDeadline;
-      ++rejected_;
-      return best;
-    }
-    solution_.assignment[static_cast<size_t>(rider)] = best.vehicle;
-    ++accepted_;
-  } else {
-    ++rejected_;
-  }
-  return best;
-}
-
-const UrrSolution& OnlineDispatcher::DispatchAll(
-    const std::vector<RiderId>& arrival_order) {
-  for (RiderId rider : arrival_order) {
-    if (solution_.assignment[static_cast<size_t>(rider)] < 0) {
-      Dispatch(rider);
-    }
-  }
-  return solution_;
 }
 
 }  // namespace urr

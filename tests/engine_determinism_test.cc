@@ -1,11 +1,12 @@
 // The streaming engine's three replayability contracts (DESIGN.md Sec 8):
 //   1. the serialized event log is byte-identical at any solver thread count,
-//   2. W = 0 reproduces OnlineDispatcher decision for decision,
+//   2. W = 0 matches a brute-force per-arrival referee decision for decision,
 //   3. replaying a log's input events regenerates the log and fleet state.
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
 #include "exp/harness.h"
+#include "sched/insertion.h"
 
 namespace urr {
 namespace {
@@ -139,43 +140,71 @@ TEST(EngineDeterminismTest, LogIsByteIdenticalAcrossEvalToggles) {
   }
 }
 
-TEST(EngineDeterminismTest, ZeroWindowMatchesOnlineDispatcher) {
-  auto world = BuildWorld(SmallConfig(2));
-  ASSERT_TRUE(world.ok()) << world.status();
-  // arrival_rate = 0: everyone arrives at t = now with unshifted deadlines,
-  // so the workload instance equals the batch instance and the engine's
-  // per-arrival path must reproduce OnlineDispatcher rider for rider.
-  Rng rng(99);
-  StreamingWorkloadOptions opt;
-  opt.arrival_rate = 0;
-  const StreamingWorkload workload =
-      MakeStreamingWorkload((*world)->instance, opt, &rng);
-  for (OnlineObjective obj :
-       {OnlineObjective::kUtilityGain, OnlineObjective::kMinCostIncrease}) {
-    EngineConfig cfg;
-    cfg.window = 0;
-    cfg.online_objective = obj;
-    UtilityModel model(&workload.instance,
-                       UtilityParams{(*world)->config.alpha,
-                                     (*world)->config.beta});
-    SolverContext ectx = (*world)->Context();
-    ectx.model = &model;
-    DispatchEngine engine(&workload, &ectx, cfg);
+// Contract 2: W = 0 commits each arrival on its own, by lowest Δcost under
+// kMinCostIncrease. The referee shares nothing with the engine's
+// evaluation path: for each arrival in order it tries every vehicle with
+// the brute-force insertion (every position pair, full schedule
+// validation), keeps the lowest Δcost (the first vehicle id on ties) and
+// commits it. Edge costs on the quantized grid are exact multiples of 0.25,
+// so Δcost comparisons are exact and ties are real ties.
+TEST(EngineDeterminismTest, ZeroWindowMatchesBruteForceReferee) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExperimentConfig cfg;
+    cfg.city = CityKind::kGrid;
+    cfg.grid_width = 12;
+    cfg.grid_height = 10;
+    cfg.quantize = 0.25;
+    cfg.num_social_users = 500;
+    cfg.num_trip_records = 2000;
+    cfg.num_riders = 60;
+    cfg.num_vehicles = 8;
+    cfg.seed = 20170512;
+    cfg.num_threads = threads;
+    auto world = BuildWorld(cfg);
+    ASSERT_TRUE(world.ok()) << world.status();
+    const UrrInstance& instance = (*world)->instance;
+    // arrival_rate = 0: everyone arrives at t = now with unshifted
+    // deadlines, so the workload's riders are the instance's.
+    Rng rng(99);
+    StreamingWorkloadOptions opt;
+    opt.arrival_rate = 0;
+    const StreamingWorkload workload =
+        MakeStreamingWorkload(instance, opt, &rng);
+    EngineConfig ecfg;
+    ecfg.window = 0;
+    ecfg.online_objective = OnlineObjective::kMinCostIncrease;
+    SolverContext ctx = (*world)->Context();
+    DispatchEngine engine(&workload, &ctx, ecfg);
     ASSERT_TRUE(engine.Run().ok());
 
-    SolverContext octx = (*world)->Context();
-    OnlineDispatcher dispatcher(&(*world)->instance, &octx, obj);
-    std::vector<RiderId> order(workload.arrivals.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = workload.arrivals[i].rider;
+    UrrSolution ref = MakeEmptySolution(instance, (*world)->oracle.get());
+    int accepted = 0;
+    for (const RiderArrival& a : workload.arrivals) {
+      const RiderTrip trip = instance.Trip(a.rider);
+      int best_vehicle = -1;
+      InsertionPlan best;
+      for (size_t j = 0; j < ref.schedules.size(); ++j) {
+        const auto plan = FindBestInsertionBruteForce(ref.schedules[j], trip);
+        if (plan.ok() && plan->delta_cost < best.delta_cost) {
+          best = *plan;
+          best_vehicle = static_cast<int>(j);
+        }
+      }
+      if (best_vehicle < 0) continue;
+      ASSERT_TRUE(ApplyInsertion(&ref.schedules[static_cast<size_t>(
+                                     best_vehicle)],
+                                 trip, best)
+                      .ok());
+      ref.assignment[static_cast<size_t>(a.rider)] = best_vehicle;
+      ++accepted;
     }
-    const UrrSolution& online = dispatcher.DispatchAll(order);
-
-    EXPECT_EQ(engine.metrics().total_accepted, dispatcher.num_accepted());
-    EXPECT_EQ(engine.metrics().total_rejected, dispatcher.num_rejected());
-    ASSERT_EQ(engine.solution().assignment.size(), online.assignment.size());
-    for (size_t r = 0; r < online.assignment.size(); ++r) {
-      EXPECT_EQ(engine.solution().assignment[r], online.assignment[r])
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, instance.num_riders());  // some riders turned away
+    EXPECT_EQ(engine.metrics().total_accepted, accepted);
+    ASSERT_EQ(engine.solution().assignment.size(), ref.assignment.size());
+    for (size_t r = 0; r < ref.assignment.size(); ++r) {
+      EXPECT_EQ(engine.solution().assignment[r], ref.assignment[r])
           << "rider " << r;
     }
   }

@@ -15,6 +15,8 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "common/binary_io.h"
+
 namespace urr {
 namespace {
 
@@ -30,24 +32,6 @@ std::string TempDirFor(const std::string& name) {
   EXPECT_EQ(std::system(scrub.c_str()), 0);
   ::mkdir(dir.c_str(), 0755);
   return dir;
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  ASSERT_EQ(std::fclose(f), 0);
-}
-
-std::string ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
 }
 
 std::vector<std::string> SamplePayloads() {
@@ -120,7 +104,7 @@ TEST(JournalTest, TruncationAtEveryByteRecoversThePrefix) {
   const std::vector<std::string> payloads = SamplePayloads();
   const std::string path = TempPath("journal_truncation.wal");
   for (uint64_t cut = 0; cut <= bytes.size(); ++cut) {
-    WriteFile(path, bytes.substr(0, cut));
+    ASSERT_TRUE(WriteFile(path, bytes.substr(0, cut)).ok());
     auto scan = ScanJournal(path);
     ASSERT_TRUE(scan.ok()) << "cut=" << cut << ": " << scan.status();
     // Records wholly inside the cut survive.
@@ -160,7 +144,7 @@ TEST(JournalTest, BitFlipAtEveryByteIsDetected) {
   for (size_t at = 0; at < bytes.size(); ++at) {
     std::string damaged = bytes;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x10);
-    WriteFile(path, damaged);
+    ASSERT_TRUE(WriteFile(path, damaged).ok());
     auto scan = ScanJournal(path);
     ASSERT_TRUE(scan.ok()) << "flip at " << at << ": " << scan.status();
     // Records before the damaged one are untouched.
@@ -187,7 +171,7 @@ TEST(JournalTest, ScanStatusesNameTheDefect) {
   const std::string record = EncodeJournalRecord("{\"op\":\"tick\"}");
 
   // Torn header.
-  WriteFile(path, record.substr(0, 5));
+  ASSERT_TRUE(WriteFile(path, record.substr(0, 5)).ok());
   auto torn_header = ScanJournal(path);
   ASSERT_TRUE(torn_header.ok());
   EXPECT_NE(torn_header->tail.message().find("record-header"),
@@ -195,7 +179,7 @@ TEST(JournalTest, ScanStatusesNameTheDefect) {
       << torn_header->tail;
 
   // Torn payload.
-  WriteFile(path, record.substr(0, record.size() - 3));
+  ASSERT_TRUE(WriteFile(path, record.substr(0, record.size() - 3)).ok());
   auto torn_payload = ScanJournal(path);
   ASSERT_TRUE(torn_payload.ok());
   EXPECT_NE(torn_payload->tail.message().find("payload bytes"),
@@ -205,7 +189,7 @@ TEST(JournalTest, ScanStatusesNameTheDefect) {
   // Implausible length.
   std::string huge = record;
   huge[0] = static_cast<char>(0x7f);
-  WriteFile(path, huge);
+  ASSERT_TRUE(WriteFile(path, huge).ok());
   auto bad_length = ScanJournal(path);
   ASSERT_TRUE(bad_length.ok());
   EXPECT_NE(bad_length->tail.message().find("limit"), std::string::npos)
@@ -215,7 +199,7 @@ TEST(JournalTest, ScanStatusesNameTheDefect) {
   std::string corrupt = record;
   corrupt[corrupt.size() - 1] =
       static_cast<char>(corrupt[corrupt.size() - 1] ^ 1);
-  WriteFile(path, corrupt);
+  ASSERT_TRUE(WriteFile(path, corrupt).ok());
   auto bad_sum = ScanJournal(path);
   ASSERT_TRUE(bad_sum.ok());
   EXPECT_NE(bad_sum->tail.message().find("checksum"), std::string::npos)
@@ -253,8 +237,9 @@ TEST(ServiceCheckpointTest, ListOrdersNewestFirstAndSkipsTemp) {
   for (const int64_t seq : {7, 300, 64}) {
     ASSERT_TRUE(WriteServiceCheckpoint(dir, SampleCheckpoint(seq)).ok());
   }
-  WriteFile(dir + "/ckpt-000000000900.tmp", "half-written garbage");
-  WriteFile(dir + "/unrelated.txt", "not a checkpoint");
+  ASSERT_TRUE(
+      WriteFile(dir + "/ckpt-000000000900.tmp", "half-written garbage").ok());
+  ASSERT_TRUE(WriteFile(dir + "/unrelated.txt", "not a checkpoint").ok());
   auto list = ListServiceCheckpoints(dir);
   ASSERT_TRUE(list.ok());
   ASSERT_EQ(list->size(), 3u);
@@ -274,18 +259,20 @@ TEST(ServiceCheckpointTest, CorruptionIsAlwaysRejected) {
   auto list = ListServiceCheckpoints(dir);
   ASSERT_TRUE(list.ok());
   const std::string good_path = (*list)[0].second;
-  const std::string bytes = ReadFile(good_path);
+  const Result<std::string> read = ReadFile(good_path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  const std::string& bytes = *read;
   ASSERT_FALSE(bytes.empty());
   const std::string damaged_path = dir + "/ckpt-000000000010";
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    WriteFile(damaged_path, bytes.substr(0, cut));
+    ASSERT_TRUE(WriteFile(damaged_path, bytes.substr(0, cut)).ok());
     EXPECT_FALSE(ReadServiceCheckpoint(damaged_path).ok())
         << "truncation to " << cut << " bytes was accepted";
   }
   for (size_t at = 0; at < bytes.size(); ++at) {
     std::string damaged = bytes;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x04);
-    WriteFile(damaged_path, damaged);
+    ASSERT_TRUE(WriteFile(damaged_path, damaged).ok());
     EXPECT_FALSE(ReadServiceCheckpoint(damaged_path).ok())
         << "bit flip at " << at << " was accepted";
   }

@@ -1,7 +1,11 @@
+// Per-arrival dispatch: the EvaluateArrival decision rule (urr/online.h) as
+// the streaming engine commits it at W = 0, driven rider by rider through
+// SubmitLive.
 #include "urr/online.h"
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "exp/harness.h"
 #include "urr/greedy.h"
 
@@ -21,54 +25,76 @@ std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42) {
   return *std::move(world);
 }
 
-std::vector<RiderId> ArrivalOrder(int m) {
-  std::vector<RiderId> order(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) order[static_cast<size_t>(i)] = i;
-  return order;
-}
+// A live W = 0 engine over a copy of the world's instance. Every rider is
+// submitted at the instance's `now`, so deadlines are those of the batch
+// instance and each answer is committed before Submit returns.
+class OnlineSession {
+ public:
+  OnlineSession(ExperimentWorld* world, OnlineObjective objective) {
+    workload_.instance = world->instance;
+    SolverContext ctx = world->Context();
+    EngineConfig config;
+    config.window = 0;
+    config.online_objective = objective;
+    engine_ = std::make_unique<DispatchEngine>(&workload_, &ctx, config);
+    const Status st = engine_->BeginLive();
+    EXPECT_TRUE(st.ok()) << st;
+  }
+
+  DispatchEngine::SubmitOutcome Submit(RiderId rider) {
+    auto out = engine_->SubmitLive(rider, workload_.instance.now);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return out.ok() ? *out : DispatchEngine::SubmitOutcome{};
+  }
+
+  /// Submits every rider in id order; returns the committed schedules.
+  const UrrSolution& SubmitAll() {
+    for (RiderId r = 0; r < workload_.instance.num_riders(); ++r) Submit(r);
+    return engine_->solution();
+  }
+
+  DispatchEngine& engine() { return *engine_; }
+  Cost now() const { return workload_.instance.now; }
+
+ private:
+  StreamingWorkload workload_;
+  std::unique_ptr<DispatchEngine> engine_;
+};
 
 TEST(OnlineTest, DispatchAllProducesValidSolution) {
   auto world = SmallWorld();
-  SolverContext ctx = world->Context();
   for (OnlineObjective obj :
        {OnlineObjective::kUtilityGain, OnlineObjective::kMinCostIncrease}) {
-    OnlineDispatcher dispatcher(&world->instance, &ctx, obj);
-    const UrrSolution& sol =
-        dispatcher.DispatchAll(ArrivalOrder(world->instance.num_riders()));
+    OnlineSession online(world.get(), obj);
+    const UrrSolution& sol = online.SubmitAll();
+    const EngineMetrics& m = online.engine().metrics();
     EXPECT_TRUE(sol.Validate(world->instance).ok());
-    EXPECT_GT(dispatcher.num_accepted(), 0);
-    EXPECT_EQ(dispatcher.num_accepted() + dispatcher.num_rejected(),
+    EXPECT_GT(m.total_accepted, 0);
+    EXPECT_EQ(m.total_accepted + m.total_rejected,
               world->instance.num_riders());
-    EXPECT_EQ(sol.NumAssigned(), dispatcher.num_accepted());
+    EXPECT_EQ(sol.NumAssigned(), m.total_accepted);
   }
 }
 
 TEST(OnlineTest, DecisionsAreImmediateAndSticky) {
   auto world = SmallWorld();
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
-  const DispatchDecision first = dispatcher.Dispatch(0);
-  if (first.accepted) {
-    // The rider is committed to that vehicle.
-    EXPECT_EQ(dispatcher.solution().assignment[0], first.vehicle);
-    // Dispatching more riders never moves rider 0.
-    dispatcher.Dispatch(1);
-    dispatcher.Dispatch(2);
-    EXPECT_EQ(dispatcher.solution().assignment[0], first.vehicle);
-  }
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
+  const DispatchEngine::SubmitOutcome first = online.Submit(0);
+  ASSERT_TRUE(first.assigned);
+  // The rider is committed to that vehicle before Submit returns...
+  EXPECT_EQ(online.engine().solution().assignment[0], first.vehicle);
+  // ...and dispatching more riders never moves rider 0.
+  online.Submit(1);
+  online.Submit(2);
+  EXPECT_EQ(online.engine().solution().assignment[0], first.vehicle);
 }
 
 TEST(OnlineTest, MinCostObjectivePicksCheaperInsertions) {
   auto world = SmallWorld(7);
-  SolverContext ctx = world->Context();
-  OnlineDispatcher utility(&world->instance, &ctx,
-                           OnlineObjective::kUtilityGain);
-  OnlineDispatcher cost(&world->instance, &ctx,
-                        OnlineObjective::kMinCostIncrease);
-  const auto order = ArrivalOrder(world->instance.num_riders());
-  const UrrSolution& by_utility = utility.DispatchAll(order);
-  const UrrSolution& by_cost = cost.DispatchAll(order);
+  OnlineSession utility(world.get(), OnlineObjective::kUtilityGain);
+  OnlineSession cost(world.get(), OnlineObjective::kMinCostIncrease);
+  const UrrSolution& by_utility = utility.SubmitAll();
+  const UrrSolution& by_cost = cost.SubmitAll();
   ASSERT_GT(by_cost.NumAssigned(), 0);
   ASSERT_GT(by_utility.NumAssigned(), 0);
   // Cost-objective dispatch spends no more travel per served rider.
@@ -85,11 +111,8 @@ TEST(OnlineTest, BatchBeatsOnlineOnUtility) {
     SolverContext ctx = world->Context();
     UrrSolution eg = SolveEfficientGreedy(world->instance, &ctx);
     batch += eg.TotalUtility(world->model);
-    OnlineDispatcher dispatcher(&world->instance, &ctx,
-                                OnlineObjective::kUtilityGain);
-    online += dispatcher
-                  .DispatchAll(ArrivalOrder(world->instance.num_riders()))
-                  .TotalUtility(world->model);
+    OnlineSession session(world.get(), OnlineObjective::kUtilityGain);
+    online += session.SubmitAll().TotalUtility(world->model);
   }
   EXPECT_GT(batch, online * 0.95);  // batch at least competitive
 }
@@ -99,32 +122,22 @@ TEST(OnlineTest, RejectedRiderStaysUnassigned) {
   // Make rider 0 impossible to serve.
   world->instance.riders[0].pickup_deadline = 0.0001;
   world->instance.riders[0].dropoff_deadline = 0.0002;
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
-  const DispatchDecision d = dispatcher.Dispatch(0);
-  EXPECT_FALSE(d.accepted);
-  EXPECT_EQ(dispatcher.solution().assignment[0], -1);
-  EXPECT_EQ(dispatcher.num_rejected(), 1);
-}
-
-TEST(OnlineTest, RejectReasonNames) {
-  EXPECT_STREQ(RejectReasonName(RejectReason::kNone), "none");
-  EXPECT_STREQ(RejectReasonName(RejectReason::kNoReachableVehicle),
-               "no_reachable_vehicle");
-  EXPECT_STREQ(RejectReasonName(RejectReason::kCapacity), "capacity");
-  EXPECT_STREQ(RejectReasonName(RejectReason::kDeadline), "deadline");
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
+  const DispatchEngine::SubmitOutcome out = online.Submit(0);
+  EXPECT_FALSE(out.assigned);
+  EXPECT_NE(out.reject, EngineReject::kNone);
+  EXPECT_EQ(online.engine().solution().assignment[0], -1);
+  EXPECT_EQ(online.engine().metrics().total_rejected, 1);
 }
 
 TEST(OnlineTest, AcceptedDecisionCarriesNoReason) {
   auto world = SmallWorld();
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
   for (RiderId r = 0; r < world->instance.num_riders(); ++r) {
-    const DispatchDecision d = dispatcher.Dispatch(r);
-    if (d.accepted) {
-      EXPECT_EQ(d.reason, RejectReason::kNone);
+    const DispatchEngine::SubmitOutcome out = online.Submit(r);
+    if (out.assigned) {
+      EXPECT_EQ(out.reject, EngineReject::kNone);
+      EXPECT_GE(out.vehicle, 0);
       return;
     }
   }
@@ -138,12 +151,10 @@ TEST(OnlineTest, UnreachableRiderReportsNoReachableVehicle) {
   // would surface as kDeadline — not seen with this seed).
   world->instance.riders[0].pickup_deadline = 0.0001;
   world->instance.riders[0].dropoff_deadline = 0.0002;
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
-  const DispatchDecision d = dispatcher.Dispatch(0);
-  ASSERT_FALSE(d.accepted);
-  EXPECT_EQ(d.reason, RejectReason::kNoReachableVehicle);
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
+  const DispatchEngine::SubmitOutcome out = online.Submit(0);
+  ASSERT_FALSE(out.assigned);
+  EXPECT_EQ(out.reject, EngineReject::kNoReachableVehicle);
 }
 
 TEST(OnlineTest, ZeroCapacityFleetReportsCapacity) {
@@ -151,11 +162,10 @@ TEST(OnlineTest, ZeroCapacityFleetReportsCapacity) {
        {OnlineObjective::kUtilityGain, OnlineObjective::kMinCostIncrease}) {
     auto world = SmallWorld();
     for (Vehicle& v : world->instance.vehicles) v.capacity = 0;
-    SolverContext ctx = world->Context();
-    OnlineDispatcher dispatcher(&world->instance, &ctx, obj);
-    const DispatchDecision d = dispatcher.Dispatch(0);
-    ASSERT_FALSE(d.accepted);
-    EXPECT_EQ(d.reason, RejectReason::kCapacity);
+    OnlineSession online(world.get(), obj);
+    const DispatchEngine::SubmitOutcome out = online.Submit(0);
+    ASSERT_FALSE(out.assigned);
+    EXPECT_EQ(out.reject, EngineReject::kCapacity);
   }
 }
 
@@ -165,39 +175,48 @@ TEST(OnlineTest, ImpossibleDropoffReportsDeadline) {
   // equal to the pickup deadline: the ride itself can never fit.
   Rider& r = world->instance.riders[0];
   r.dropoff_deadline = r.pickup_deadline;
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kMinCostIncrease);
-  const DispatchDecision d = dispatcher.Dispatch(0);
-  ASSERT_FALSE(d.accepted);
-  EXPECT_EQ(d.reason, RejectReason::kDeadline);
+  OnlineSession online(world.get(), OnlineObjective::kMinCostIncrease);
+  const DispatchEngine::SubmitOutcome out = online.Submit(0);
+  ASSERT_FALSE(out.assigned);
+  EXPECT_EQ(out.reject, EngineReject::kDeadline);
 }
 
 TEST(OnlineTest, EvaluateArrivalMatchesDispatchWithoutCommitting) {
   auto world = SmallWorld();
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
+  // Commit a few riders first so the peek sees non-empty schedules.
+  for (RiderId r = 0; r < 5; ++r) online.Submit(r);
   SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
-  const DispatchDecision peek = EvaluateArrival(
-      world->instance, &ctx, dispatcher.solution(), 0,
-      OnlineObjective::kUtilityGain);
-  // Pure evaluation: nothing was committed.
-  EXPECT_EQ(dispatcher.solution().assignment[0], -1);
-  const DispatchDecision d = dispatcher.Dispatch(0);
-  EXPECT_EQ(peek.accepted, d.accepted);
-  EXPECT_EQ(peek.vehicle, d.vehicle);
-  EXPECT_EQ(peek.reason, d.reason);
+  for (RiderId r = 5; r < 15; ++r) {
+    const DispatchDecision peek =
+        EvaluateArrival(world->instance, &ctx, online.engine().solution(), r,
+                        OnlineObjective::kUtilityGain);
+    // Pure evaluation: nothing was committed.
+    EXPECT_EQ(online.engine().solution().assignment[r], -1);
+    const DispatchEngine::SubmitOutcome out = online.Submit(r);
+    EXPECT_EQ(peek.accepted, out.assigned) << "rider " << r;
+    EXPECT_EQ(peek.vehicle, out.vehicle) << "rider " << r;
+    if (!peek.accepted) {
+      // EngineReject extends RejectReason with the same leading values.
+      EXPECT_EQ(static_cast<int>(peek.reason), static_cast<int>(out.reject))
+          << "rider " << r;
+    }
+  }
 }
 
 TEST(OnlineTest, DispatchAllSkipsAlreadyAssigned) {
   auto world = SmallWorld();
-  SolverContext ctx = world->Context();
-  OnlineDispatcher dispatcher(&world->instance, &ctx,
-                              OnlineObjective::kUtilityGain);
-  dispatcher.Dispatch(0);
-  const int accepted_after_first = dispatcher.num_accepted();
-  dispatcher.DispatchAll({0, 0, 0});  // repeats must be no-ops
-  EXPECT_EQ(dispatcher.num_accepted(), accepted_after_first);
+  OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
+  online.Submit(0);
+  const int accepted_after_first = online.engine().metrics().total_accepted;
+  const int vehicle = online.engine().solution().assignment[0];
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    // Repeats are refused and change nothing.
+    const auto again = online.engine().SubmitLive(0, online.now());
+    EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+  }
+  EXPECT_EQ(online.engine().metrics().total_accepted, accepted_after_first);
+  EXPECT_EQ(online.engine().solution().assignment[0], vehicle);
 }
 
 }  // namespace

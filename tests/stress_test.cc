@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "social/generators.h"
 #include "spatial/vehicle_index.h"
@@ -116,12 +117,18 @@ TEST_P(StressTest, AllSolversKeepInvariants) {
     solutions.emplace_back("GBS", *std::move(gbs));
   }
   {
-    OnlineDispatcher online(&w->instance, &ctx, OnlineObjective::kUtilityGain);
-    std::vector<RiderId> order(w->instance.riders.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<RiderId>(i);
+    // Per-arrival dispatch: the engine at W = 0, every rider arriving at
+    // `now` in id order.
+    StreamingWorkload workload;
+    workload.instance = w->instance;
+    EngineConfig config;
+    config.window = 0;
+    DispatchEngine online(&workload, &ctx, config);
+    ASSERT_TRUE(online.BeginLive().ok());
+    for (RiderId r = 0; r < w->instance.num_riders(); ++r) {
+      ASSERT_TRUE(online.SubmitLive(r, w->instance.now).ok());
     }
-    solutions.emplace_back("online", online.DispatchAll(order));
+    solutions.emplace_back("online", online.solution());
   }
 
   for (auto& [name, sol] : solutions) {

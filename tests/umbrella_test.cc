@@ -77,10 +77,18 @@ TEST(UmbrellaTest, PublicSurfaceIsComplete) {
   auto route = ExpandScheduleRoute(seq, &query);
   EXPECT_TRUE(route.ok());
 
-  // Online dispatcher.
-  OnlineDispatcher online(&instance, &ctx, OnlineObjective::kMinCostIncrease);
-  online.DispatchAll({0, 1});
-  EXPECT_TRUE(online.solution().Validate(instance).ok());
+  // The per-arrival decision (what the streaming engine commits at W = 0).
+  UrrSolution online = MakeEmptySolution(instance, &oracle);
+  const DispatchDecision first = EvaluateArrival(
+      instance, &ctx, online, 0, OnlineObjective::kMinCostIncrease);
+  if (first.accepted) {
+    const size_t j = static_cast<size_t>(first.vehicle);
+    ASSERT_TRUE(
+        ApplyInsertion(&online.schedules[j], instance.Trip(0), first.plan)
+            .ok());
+    online.assignment[0] = first.vehicle;
+  }
+  EXPECT_TRUE(online.Validate(instance).ok());
   (void)reorder;
 
   // Cost model.

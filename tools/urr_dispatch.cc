@@ -8,17 +8,17 @@
 //   urr_dispatch --network nyc.gr --coords nyc.co --trips trips.csv
 //                --approach gbs-ba --out schedules.csv
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/env.h"
+#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/table.h"
+#include "engine/engine.h"
 #include "graph/dimacs.h"
 #include "graph/generators.h"
 #include "routing/hub_labels.h"
@@ -53,90 +53,61 @@ struct Options {
   int threads = 0;  // 0 = URR_THREADS env, 1 = serial
   std::string out_path;
   bool json = false;  // machine-readable SolutionMetrics instead of the table
-  bool help = false;
+
+  void Register(FlagSet* flags) {
+    FlagSet& f = *flags;
+    f.Section("network source (pick one):");
+    f.Flag("--network", "FILE.gr", &network_path, "a DIMACS road network");
+    f.Flag("--coords", "FILE.co", &coords_path, "its DIMACS coordinates");
+    f.Flag("--city", "nyc|chicago", &city, "or generate a city-like network");
+    f.Flag("--nodes", "N", &nodes, "size of the generated network");
+    f.Section("workload source:");
+    f.Flag("--trips", "FILE.csv", &trips_path,
+           "node-based trip CSV (pickup_node, dropoff_node,\n"
+           "pickup_time, duration); default: generated");
+    f.Section("instance:");
+    f.Flag("--riders", "M", &riders, "riders");
+    f.Flag("--vehicles", "N", &vehicles, "vehicles");
+    f.Flag("--capacity", "C", &capacity, "seats per vehicle");
+    f.Flag("--alpha", "A", &alpha, "utility balance (Eq. 1)");
+    f.Flag("--beta", "B", &beta, "utility balance (Eq. 1)");
+    f.Flag("--epsilon", "E", &epsilon, "flexible factor of drop-off deadlines");
+    f.Flag("--deadline-min", "MIN", &deadline_min_minutes,
+           "pickup deadline range, lower end (minutes)");
+    f.Flag("--deadline-max", "MIN", &deadline_max_minutes, "its upper end");
+    f.Section("solver:");
+    f.Flag("--approach", "cf|eg|ba|gbs-eg|gbs-ba|online", &approach,
+           "a batch approach, or online: the streaming engine's\n"
+           "per-arrival path (W = 0), riders in id order");
+    f.Flag("--seed", "S", &seed, "generator and solver seed");
+    f.Flag("--threads", "T", &threads,
+           "evaluation threads (0 = URR_THREADS env); the\n"
+           "solution is identical for every T");
+    f.Flag("--out", "FILE.csv", &out_path, "dump the resulting schedules");
+    f.Flag("--json", &json, "print SolutionMetrics as one JSON object");
+  }
 };
 
-void PrintUsage() {
-  std::printf(R"(urr_dispatch - utility-aware ridesharing batch dispatcher
-
-network source (pick one):
-  --network FILE.gr [--coords FILE.co]   load a DIMACS road network
-  --city nyc|chicago --nodes N           generate a city-like network
-
-workload source (pick one):
-  --trips FILE.csv        node-based trip CSV (pickup_node, dropoff_node,
-                          pickup_time, duration)
-  (default)               generate a workload on the network
-
-instance:
-  --riders M --vehicles N --capacity C
-  --alpha A --beta B      utility balance (Eq. 1)
-  --epsilon E             flexible factor for drop-off deadlines
-  --deadline-min MIN --deadline-max MIN   pickup deadline range (minutes)
-
-solver:
-  --approach cf|eg|ba|gbs-eg|gbs-ba|online
-  --seed S
-  --threads T             evaluation threads (0 = URR_THREADS env, 1 = serial;
-                          the solution is identical for every T)
-  --out FILE.csv          dump the resulting schedules
-  --json                  print SolutionMetrics as one JSON object instead
-                          of the human-readable tables
-
-)");
-}
-
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--network", &opt.network_path}, {"--coords", &opt.coords_path},
-      {"--city", &opt.city},            {"--trips", &opt.trips_path},
-      {"--approach", &opt.approach},    {"--out", &opt.out_path},
-  };
-  std::map<std::string, double*> doubles = {
-      {"--alpha", &opt.alpha},
-      {"--beta", &opt.beta},
-      {"--epsilon", &opt.epsilon},
-      {"--deadline-min", &opt.deadline_min_minutes},
-      {"--deadline-max", &opt.deadline_max_minutes},
-  };
-  std::map<std::string, int*> ints = {
-      {"--nodes", &opt.nodes},
-      {"--riders", &opt.riders},
-      {"--vehicles", &opt.vehicles},
-      {"--capacity", &opt.capacity},
-      {"--threads", &opt.threads},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto dt = doubles.find(flag); dt != doubles.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *dt->second = std::atof(v.c_str());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (flag == "--json") {
-      opt.json = true;
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    }
+/// --approach online: every rider arrives at instance.now, in id order,
+/// through the streaming engine's per-arrival path (W = 0). Returns the
+/// committed schedules; `metrics` receives the engine's metrics, whose
+/// eval-path counters stand in for ctx's (the engine counts on its own).
+Result<UrrSolution> DispatchOnline(const UrrInstance& instance,
+                                   SolverContext* ctx, EngineMetrics* metrics) {
+  StreamingWorkload workload;
+  workload.instance = instance;
+  EngineConfig config;
+  config.window = 0;
+  DispatchEngine engine(&workload, ctx, config);
+  URR_RETURN_NOT_OK(engine.BeginLive());
+  for (RiderId r = 0; r < instance.num_riders(); ++r) {
+    URR_RETURN_NOT_OK(engine.SubmitLive(r, instance.now).status());
   }
-  return opt;
+  // Finishing drives the fleet through its schedules, so take them first.
+  UrrSolution sol = engine.solution();
+  URR_RETURN_NOT_OK(engine.FinishLive());
+  *metrics = engine.metrics();
+  return sol;
 }
 
 /// Dumps schedules as CSV rows (vehicle, seq, rider, event, node, deadline).
@@ -245,6 +216,7 @@ Status Run(const Options& opt) {
   // --- Solve. -------------------------------------------------------------------
   Stopwatch watch;
   UrrSolution sol = MakeEmptySolution(instance, &oracle);
+  EngineMetrics online;
   if (opt.approach == "cf") {
     sol = SolveCostFirst(instance, &ctx);
   } else if (opt.approach == "eg") {
@@ -257,10 +229,7 @@ Status Run(const Options& opt) {
                                          : GbsBase::kBilateral;
     URR_ASSIGN_OR_RETURN(sol, SolveGbs(instance, &ctx, gopt));
   } else if (opt.approach == "online") {
-    OnlineDispatcher dispatcher(&instance, &ctx, OnlineObjective::kUtilityGain);
-    std::vector<RiderId> order(instance.riders.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<RiderId>(i);
-    sol = dispatcher.DispatchAll(order);
+    URR_ASSIGN_OR_RETURN(sol, DispatchOnline(instance, &ctx, &online));
   } else {
     return Status::InvalidArgument("unknown --approach " + opt.approach);
   }
@@ -269,6 +238,18 @@ Status Run(const Options& opt) {
 
   SolutionMetrics metrics = ComputeMetrics(instance, model, sol);
   AttachEvalStats(ctx, &metrics);
+  if (opt.approach == "online") {
+    metrics.eval_cache_hits = online.eval_cache_hits;
+    metrics.eval_cache_misses = online.eval_cache_misses;
+    metrics.screened_pairs = online.screened_pairs;
+    metrics.elided_queries = online.elided_queries;
+    metrics.kernel_evals = online.kernel_evals;
+    metrics.retrieval_riders = online.retrieval_riders;
+    metrics.retrieval_candidates = online.retrieval_candidates;
+    metrics.retrieval_seconds = online.retrieval_seconds;
+    metrics.retrieval_mean_candidates = online.retrieval_mean_candidates;
+    metrics.retrieval_p99_candidates = online.retrieval_p99_candidates;
+  }
   AttachRejectionReasons(instance, &ctx, sol, &metrics);
   if (opt.json) {
     // Machine-readable path: the JSON object is the last stdout line.
@@ -303,20 +284,11 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options options;
+  urr::FlagSet flags(
+      "urr_dispatch - utility-aware ridesharing batch dispatcher");
+  options.Register(&flags);
+  return flags.Main(argc, argv, [&](const std::vector<std::string>&) {
+    return urr::Run(options);
+  });
 }

@@ -16,14 +16,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -46,11 +45,12 @@ struct Options {
   double quantize = 0;        // snap edge costs to multiples of this; 0 = off
   std::string threads = "1";  // build: one count; bench: comma list
   int probe = 0;              // verify: CH-vs-HL probe pairs
-  bool help = false;
-};
 
-void PrintUsage() {
-  std::printf(R"(urr_index - .urrx routing-index snapshot tool
+  void Register(FlagSet* flags) {
+    FlagSet& f = *flags;
+    f.AllowPositional(2);
+    f.Text(R"(
+usage: urr_index build|info|verify|bench [FILE] [flags]
 
 modes:
   build   generate a network, run CH contraction + hub-label extraction
@@ -60,76 +60,22 @@ modes:
           invariants); --probe N additionally cross-checks N random
           CH-vs-hub-label distances for bitwise equality
   bench   build at each thread count in --threads, require byte-identical
-          snapshots, and report build / save / load times
-
-world (build, bench):
-  --city nyc|chicago|grid   network preset
-  --nodes N                 target size of the nyc/chicago presets
-  --width W --height H      grid dimensions of the grid preset
-  --seed S                  generator seed
-  --quantize Q              snap edge costs to multiples of Q (exact doubles;
-                            makes query results bitwise comparable across
-                            oracle kinds)
-
-build:  --threads T --out FILE
-verify: urr_index verify FILE [--probe N]
-info:   urr_index info FILE
-bench:  --threads T1,T2,...  [--out FILE]
-
-)");
-}
-
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--city", &opt.city},
-      {"--out", &opt.out},
-      {"--threads", &opt.threads},
-  };
-  std::map<std::string, int*> ints = {
-      {"--nodes", &opt.nodes},
-      {"--width", &opt.width},
-      {"--height", &opt.height},
-      {"--probe", &opt.probe},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (flag == "--quantize") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.quantize = std::atof(v.c_str());
-    } else if (!flag.empty() && flag[0] == '-') {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    } else if (opt.mode.empty()) {
-      opt.mode = flag;
-    } else if (opt.path.empty()) {
-      opt.path = flag;
-    } else {
-      return Status::InvalidArgument("unexpected argument: " + flag);
-    }
+          snapshots, and report build / save / load times)");
+    f.Section("world (build, bench):");
+    f.Flag("--city", "nyc|chicago|grid", &city, "network preset");
+    f.Flag("--nodes", "N", &nodes, "size of the nyc/chicago presets");
+    f.Flag("--width", "W", &width, "grid preset width");
+    f.Flag("--height", "H", &height, "grid preset height");
+    f.Flag("--seed", "S", &seed, "generator seed (verify: probe seed)");
+    f.Flag("--quantize", "Q", &quantize,
+           "snap edge costs to multiples of Q (exact doubles)");
+    f.Section("build, bench, verify:");
+    f.Flag("--threads", "T[,T...]", &threads,
+           "build: one thread count; bench: a comma list");
+    f.Flag("--out", "FILE", &out, "the snapshot to write");
+    f.Flag("--probe", "N", &probe, "verify: CH-vs-hub-label probe pairs");
   }
-  if (opt.mode.empty()) {
-    return Status::InvalidArgument("missing mode (build|info|verify|bench)");
-  }
-  return opt;
-}
+};
 
 /// Generates the configured network, optionally snapping edge costs to
 /// multiples of --quantize (the rounded values are exact doubles, so sums
@@ -167,7 +113,7 @@ Result<std::vector<int>> ParseThreadList(const std::string& spec) {
   while (pos <= spec.size()) {
     const size_t comma = std::min(spec.find(',', pos), spec.size());
     const std::string tok = spec.substr(pos, comma - pos);
-    const int t = std::atoi(tok.c_str());
+    URR_ASSIGN_OR_RETURN(const int t, ParseIntToken(tok, "--threads"));
     if (t < 1) {
       return Status::InvalidArgument("bad thread count '" + tok + "'");
     }
@@ -314,7 +260,12 @@ Status RunBench(const Options& opt) {
   return Status::OK();
 }
 
-Status Run(const Options& opt) {
+Status Run(Options opt, const std::vector<std::string>& args) {
+  if (args.empty()) {
+    return Status::InvalidArgument("missing mode (build|info|verify|bench)");
+  }
+  opt.mode = args[0];
+  if (args.size() > 1) opt.path = args[1];
   if (opt.mode == "build") return RunBuild(opt);
   if (opt.mode == "info") return RunInfo(opt);
   if (opt.mode == "verify") return RunVerify(opt);
@@ -327,20 +278,10 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options options;
+  urr::FlagSet flags("urr_index - .urrx routing-index snapshot tool");
+  options.Register(&flags);
+  return flags.Main(argc, argv, [&](const std::vector<std::string>& args) {
+    return urr::Run(options, args);
+  });
 }

@@ -17,10 +17,10 @@
 //               --connections 8 --json
 //   urr_loadgen --port $(cat /tmp/port) --mode replay --shutdown
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <string>
+#include <vector>
 
+#include "common/flags.h"
 #include "server/loadgen.h"
 
 namespace urr {
@@ -42,101 +42,40 @@ struct Options {
   int max_retries = 4;    // attempts per request through reconnects
   bool shutdown = false;  // send {"op":"shutdown"} when done
   bool json = false;
-  bool help = false;
-};
 
-void PrintUsage() {
-  std::printf(R"(urr_loadgen - open-loop load generator for urr_server
-
-target:
-  --port P                TCP 127.0.0.1:P
-  --socket PATH           or a unix-domain socket
-
-mode:
-  --mode open|replay      open loop (steady-clock server) or recorded-
-                          workload replay (virtual-clock server)
-
-open loop:
-  --connections N         parallel connections (default 4)
-  --rate R                mean requests per second (default 100)
-  --profile const|peak    homogeneous Poisson or two-peak day profile
-  --duration S            schedule length in seconds (default 5)
-  --cancel-fraction F     also cancel this share of riders shortly after
-  --rider-offset K        skip the first K riders of the server's universe
-                          (disjoint phases against one server)
-  --seed S
-
-replay:
-  --replay-limit N        send only the first N schedule entries (crash-
-                          recovery harness: prefix, kill, full re-replay)
-
-resilience (both modes; requests carry idempotent req_ids, so retries
-after ambiguous failures are deduplicated server-side):
-  --timeout S             per-request socket timeout (default 10)
-  --max-retries K         attempts per request through backoff+jitter
-                          reconnects (default 4)
-
-common:
-  --shutdown              send {"op":"shutdown"} after the run
-  --json                  print the report as one JSON object
-)");
-}
-
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options opt;
-  std::map<std::string, std::string*> strings = {
-      {"--socket", &opt.socket_path},
-      {"--mode", &opt.mode},
-      {"--profile", &opt.profile},
-  };
-  std::map<std::string, double*> doubles = {
-      {"--rate", &opt.rate},
-      {"--duration", &opt.duration},
-      {"--cancel-fraction", &opt.cancel_fraction},
-      {"--timeout", &opt.timeout},
-  };
-  std::map<std::string, int*> ints = {
-      {"--port", &opt.port},
-      {"--connections", &opt.connections},
-      {"--rider-offset", &opt.rider_offset},
-      {"--replay-limit", &opt.replay_limit},
-      {"--max-retries", &opt.max_retries},
-  };
-  std::map<std::string, bool*> bools = {
-      {"--shutdown", &opt.shutdown},
-      {"--json", &opt.json},
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    auto need_value = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(flag + " needs a value");
-      }
-      return std::string(argv[++i]);
-    };
-    if (auto it = strings.find(flag); it != strings.end()) {
-      URR_ASSIGN_OR_RETURN(*it->second, need_value());
-    } else if (auto dt = doubles.find(flag); dt != doubles.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *dt->second = std::atof(v.c_str());
-    } else if (auto nt = ints.find(flag); nt != ints.end()) {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      *nt->second = std::atoi(v.c_str());
-    } else if (auto bt = bools.find(flag); bt != bools.end()) {
-      *bt->second = true;
-    } else if (flag == "--seed") {
-      URR_ASSIGN_OR_RETURN(std::string v, need_value());
-      opt.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else {
-      return Status::InvalidArgument("unknown flag: " + flag);
-    }
+  void Register(FlagSet* flags) {
+    FlagSet& f = *flags;
+    f.Section("target:");
+    f.Flag("--port", "P", &port, "TCP 127.0.0.1:P");
+    f.Flag("--socket", "PATH", &socket_path, "or a unix-domain socket");
+    f.Section("mode:");
+    f.Flag("--mode", "open|replay", &mode,
+           "open loop (steady-clock server) or recorded-\n"
+           "workload replay (virtual-clock server)");
+    f.Section("open loop:");
+    f.Flag("--connections", "N", &connections, "parallel connections (4)");
+    f.Flag("--rate", "R", &rate, "mean requests per second (100)");
+    f.Flag("--profile", "const|peak", &profile,
+           "homogeneous Poisson or two-peak day profile");
+    f.Flag("--duration", "S", &duration, "schedule length in seconds (5)");
+    f.Flag("--cancel-fraction", "F", &cancel_fraction,
+           "also cancel this share of riders shortly after");
+    f.Flag("--rider-offset", "K", &rider_offset,
+           "skip the first K riders of the server's universe");
+    f.Flag("--seed", "S", &seed, "schedule seed");
+    f.Section("replay:");
+    f.Flag("--replay-limit", "N", &replay_limit,
+           "send only the first N schedule entries");
+    f.Section("resilience (retries carry idempotent req_ids):");
+    f.Flag("--timeout", "S", &timeout, "per-request socket timeout (10 s)");
+    f.Flag("--max-retries", "K", &max_retries,
+           "attempts per request through reconnects (4)");
+    f.Section("common:");
+    f.Flag("--shutdown", &shutdown,
+           "send {\"op\":\"shutdown\"} after the run");
+    f.Flag("--json", &json, "print the report as one JSON object");
   }
-  return opt;
-}
+};
 
 Status Run(const Options& opt) {
   Endpoint endpoint;
@@ -207,20 +146,10 @@ Status Run(const Options& opt) {
 }  // namespace urr
 
 int main(int argc, char** argv) {
-  auto options = urr::ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    urr::PrintUsage();
-    return 2;
-  }
-  if (options->help) {
-    urr::PrintUsage();
-    return 0;
-  }
-  const urr::Status st = urr::Run(*options);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  urr::Options options;
+  urr::FlagSet flags("urr_loadgen - open-loop load generator for urr_server");
+  options.Register(&flags);
+  return flags.Main(argc, argv, [&](const std::vector<std::string>&) {
+    return urr::Run(options);
+  });
 }
