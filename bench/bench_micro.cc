@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the primitives the URR solvers
-// lean on: point-to-point shortest paths (plain / ALT / CH),
+// lean on: point-to-point shortest paths (Dijkstra / hub labels),
 // bounded reverse exploration, Algorithm-1 insertion, utility evaluation and
 // Jaccard similarity.
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
-#include "routing/alt.h"
 #include "routing/distance_oracle.h"
 #include "routing/hub_labels.h"
 #include "routing/index_snapshot.h"
@@ -30,8 +29,7 @@ namespace {
 /// Shared fixture state, built once.
 struct MicroWorld {
   RoadNetwork network;
-  std::shared_ptr<const ContractionHierarchy> ch;
-  /// Labels extracted from `ch`: the production oracle.
+  /// The production oracle.
   std::unique_ptr<HubLabelOracle> hl;
   SocialGraph social;
   Rng rng{1234};
@@ -41,9 +39,7 @@ struct MicroWorld {
     opt.width = 70;
     opt.height = 70;
     network = *GenerateGridCity(opt, &rng);
-    ch = std::make_shared<const ContractionHierarchy>(
-        *ContractionHierarchy::Build(network));
-    hl = *HubLabelOracle::FromHierarchy(*ch);
+    hl = *HubLabelOracle::Create(network);
     SocialGenOptions sopt;
     sopt.num_users = 2000;
     social = *GeneratePowerLawFriends(sopt, &rng);
@@ -73,25 +69,6 @@ void BM_DijkstraPointToPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraPointToPoint);
-
-void BM_AltQuery(benchmark::State& state) {
-  MicroWorld& w = World();
-  static AltIndex index = *AltIndex::Build(w.network, 8, &w.rng);
-  AltQuery query(w.network, index);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(query.Distance(w.RandomNode(), w.RandomNode()));
-  }
-}
-BENCHMARK(BM_AltQuery);
-
-void BM_ChQuery(benchmark::State& state) {
-  MicroWorld& w = World();
-  ChQuery query(*w.ch);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(query.Distance(w.RandomNode(), w.RandomNode()));
-  }
-}
-BENCHMARK(BM_ChQuery);
 
 void BM_BoundedReverseExplore(benchmark::State& state) {
   MicroWorld& w = World();
@@ -191,10 +168,10 @@ void BM_KspcCover(benchmark::State& state) {
 }
 BENCHMARK(BM_KspcCover)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
-/// Fixture for the parallel candidate-evaluation benchmark: a CH-backed
-/// cloneable oracle, an instance and the full rider x vehicle pair set.
+/// Fixture for the parallel candidate-evaluation benchmark: the hub-label
+/// oracle, an instance and the full rider x vehicle pair set.
 struct EvalWorld {
-  std::unique_ptr<ChOracle> oracle;
+  std::unique_ptr<HubLabelOracle> oracle;
   UrrInstance instance;
   std::unique_ptr<UtilityModel> model;
   UrrSolution sol;
@@ -202,7 +179,7 @@ struct EvalWorld {
 
   EvalWorld() {
     MicroWorld& w = World();
-    oracle = *ChOracle::Create(w.network);
+    oracle = *HubLabelOracle::Create(w.network);
     instance.network = &w.network;
     instance.social = &w.social;
     while (static_cast<int>(instance.riders.size()) < 128) {
@@ -257,15 +234,14 @@ BENCHMARK(BM_ParallelCandidateEval)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Head-to-head of the exact oracles on an identical workload: scalar
-/// Distance calls over a fixed 16x64 source/target rectangle. range(0) picks
-/// the oracle (0 = Dijkstra, 1 = CH, 2 = hub labels); all three compute the
-/// exact same 1024 distances.
+/// Head-to-head of the production oracle and its reference on an identical
+/// workload: scalar Distance calls over a fixed 16x64 source/target
+/// rectangle. range(0) picks the oracle (0 = Dijkstra, 1 = hub labels); both
+/// compute the exact same 1024 distances.
 void BM_OracleComparison(benchmark::State& state) {
   MicroWorld& w = World();
   static DijkstraOracle dijkstra(w.network);
-  static ChOracle ch(w.ch);
-  DistanceOracle* const oracles[] = {&dijkstra, &ch, w.hl.get()};
+  DistanceOracle* const oracles[] = {&dijkstra, w.hl.get()};
   DistanceOracle* oracle = oracles[state.range(0)];
   Rng rng(99);  // fixed pair set: every oracle does identical work
   std::vector<NodeId> sources, targets;
@@ -286,7 +262,7 @@ void BM_OracleComparison(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleComparison)
     ->ArgName("oracle")
-    ->DenseRange(0, 2)
+    ->DenseRange(0, 1)
     ->Unit(benchmark::kMillisecond);
 
 /// One window's candidate retrieval: 64 pending riders against a fleet of
@@ -344,28 +320,21 @@ BENCHMARK(BM_Jaccard);
 
 /// Perf snapshot for the repo: the solvers' candidate-evaluation phase
 /// (EvaluateCandidates over the full rider x vehicle pair set of the
-/// generator city, scalar queries per candidate) timed under CH versus hub
-/// labels. Values are bit-identical; only the wall clock moves.
-/// Writes a small JSON file so the speedup is tracked in-tree.
+/// generator city, scalar hub-label queries per candidate) plus the index
+/// build and snapshot round trip. Writes a small JSON file so the numbers
+/// are tracked in-tree.
 int EmitOracleSnapshot(const std::string& path) {
   EvalWorld ew;
   MicroWorld& w = World();
-  Stopwatch hl_prep;
-  auto hl = HubLabelOracle::FromHierarchy(ew.oracle->hierarchy());
-  if (!hl.ok()) {
-    std::fprintf(stderr, "hl failed: %s\n", hl.status().ToString().c_str());
-    return 1;
-  }
-  const double hl_prep_s = hl_prep.ElapsedSeconds();
 
   // Best-of-R wall clock for one EvaluateCandidates pass over all pairs.
-  auto measure = [&](DistanceOracle* oracle) {
+  double eval_hl_s = 1e300;
+  {
     Rng rng(1);
     SolverContext ctx;
-    ctx.oracle = oracle;
+    ctx.oracle = ew.oracle.get();
     ctx.model = ew.model.get();
     ctx.rng = &rng;
-    double best = 1e300;
     for (int rep = 0; rep < 6; ++rep) {
       Stopwatch t;
       auto evals =
@@ -373,12 +342,9 @@ int EmitOracleSnapshot(const std::string& path) {
                              /*need_utility=*/true);
       benchmark::DoNotOptimize(evals.data());
       const double s = t.ElapsedSeconds();
-      if (rep > 0 && s < best) best = s;  // rep 0 is warm-up
+      if (rep > 0 && s < eval_hl_s) eval_hl_s = s;  // rep 0 is warm-up
     }
-    return best;
-  };
-  const double eval_ch_s = measure(ew.oracle.get());
-  const double eval_hl_s = measure(hl->get());
+  }
 
   // Index-construction rows: the full preprocessing pipeline (CH contraction
   // + hub-label extraction, both timed separately) at 1, 2 and 8 threads —
@@ -452,17 +418,13 @@ int EmitOracleSnapshot(const std::string& path) {
                "  \"riders\": %d,\n"
                "  \"vehicles\": %d,\n"
                "  \"pairs\": %zu,\n"
-               "  \"hl_label_build_seconds\": %.3f,\n"
-               "  \"eval_ch_seconds\": %.6f,\n"
                "  \"eval_hl_seconds\": %.6f,\n"
-               "  \"speedup_eval_hl_vs_eval_ch\": %.2f,\n"
                "  \"index_build\": [\n",
                URR_GIT_COMMIT, std::thread::hardware_concurrency(),
                URR_BUILD_TYPE, w.network.num_nodes(),
                static_cast<int>(ew.instance.riders.size()),
                static_cast<int>(ew.instance.vehicles.size()), ew.pairs.size(),
-               hl_prep_s, eval_ch_s, eval_hl_s,
-               eval_ch_s / eval_hl_s);
+               eval_hl_s);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
                  "    {\"threads\": %d, \"ch_contract_seconds\": %.6f, "
@@ -478,9 +440,7 @@ int EmitOracleSnapshot(const std::string& path) {
                "}\n",
                save_s, load_s, cold_start_speedup);
   std::fclose(f);
-  std::printf("wrote %s: eval CH %.3fms, eval HL %.3fms (%.1fx)\n",
-              path.c_str(), eval_ch_s * 1e3, eval_hl_s * 1e3,
-              eval_ch_s / eval_hl_s);
+  std::printf("wrote %s: eval HL %.3fms\n", path.c_str(), eval_hl_s * 1e3);
   std::printf("index build: serial %.3fs (contract %.3fs + labels %.3fs), "
               "8-thread contract %.3fs; snapshot load %.3fs (%.0fx cold-start "
               "speedup)\n",

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/binary_io.h"
+
 namespace urr {
 
 int CsvTable::ColumnIndex(const std::string& name) const {
@@ -68,11 +70,8 @@ Result<CsvTable> ParseCsv(const std::string& text) {
 }
 
 Result<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  URR_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ParseCsv(text);
 }
 
 namespace {

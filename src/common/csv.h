@@ -27,7 +27,8 @@ std::vector<std::string> SplitCsvLine(const std::string& line);
 /// Parses CSV text (first line is the header).
 Result<CsvTable> ParseCsv(const std::string& text);
 
-/// Reads and parses a CSV file.
+/// Reads and parses a CSV file. NotFound when `path` does not exist, IOError
+/// when it cannot be opened or read (a directory, say).
 Result<CsvTable> ReadCsvFile(const std::string& path);
 
 /// Serializes a table to CSV text (quoting cells that need it).

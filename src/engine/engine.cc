@@ -100,25 +100,15 @@ DistanceOracle* DispatchEngine::SetupOverlay() {
   if (ctx_.worker_set != nullptr && !ctx_.worker_set->oracles.empty()) {
     auto wrapped = std::make_shared<WorkerOracleSet>();
     wrapped->oracles.push_back(overlay_.get());
-    bool ok = true;
     for (size_t w = 1; w < ctx_.worker_set->oracles.size(); ++w) {
       // Overlay clones wrap fresh clones of the main overlay's base — each
       // worker keeps a private scratch/query context, same as before.
       std::unique_ptr<DistanceOracle> clone = overlay_->Clone();
-      if (clone == nullptr) {
-        ok = false;
-        break;
-      }
       wrapped->oracles.push_back(clone.get());
       wrapped->owned.push_back(std::move(clone));
     }
-    if (ok) {
-      overlay_worker_set_ = std::move(wrapped);
-      ctx_.worker_set = overlay_worker_set_;
-    } else {
-      // A non-cloneable base: drop the worker set, solvers run serial.
-      ctx_.worker_set = nullptr;
-    }
+    overlay_worker_set_ = std::move(wrapped);
+    ctx_.worker_set = overlay_worker_set_;
   }
   return ctx_.oracle;
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
+
+#include "common/binary_io.h"
 
 namespace urr {
 
@@ -102,17 +103,10 @@ Result<RoadNetwork> ParseDimacs(const std::string& gr_text,
 
 Result<RoadNetwork> LoadDimacsFiles(const std::string& gr_path,
                                     const std::string& co_path) {
-  auto slurp = [](const std::string& path) -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  URR_ASSIGN_OR_RETURN(std::string gr, slurp(gr_path));
+  URR_ASSIGN_OR_RETURN(std::string gr, ReadFile(gr_path));
   std::string co;
   if (!co_path.empty()) {
-    URR_ASSIGN_OR_RETURN(co, slurp(co_path));
+    URR_ASSIGN_OR_RETURN(co, ReadFile(co_path));
   }
   return ParseDimacs(gr, co);
 }

@@ -17,7 +17,8 @@ namespace urr {
 Result<RoadNetwork> ParseDimacs(const std::string& gr_text,
                                 const std::string& co_text = "");
 
-/// Reads a `.gr` file (and optional `.co` file) from disk.
+/// Reads a `.gr` file (and optional `.co` file) from disk. NotFound when a
+/// path does not exist, IOError when it cannot be opened or read.
 Result<RoadNetwork> LoadDimacsFiles(const std::string& gr_path,
                                     const std::string& co_path = "");
 

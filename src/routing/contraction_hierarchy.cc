@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <queue>
 
 #include "common/parallel_for.h"
 
@@ -473,212 +474,6 @@ Result<ContractionHierarchy> ContractionHierarchy::Deserialize(
                                   ch.down_to_, ch.down_cost_,
                                   ch.down_middle_));
   return ch;
-}
-
-ChQuery::ChQuery(const ContractionHierarchy& ch) : ch_(ch) {
-  const auto n = static_cast<size_t>(ch.num_nodes());
-  fwd_.dist.assign(n, kInfiniteCost);
-  fwd_.stamp.assign(n, 0);
-  fwd_.parent.assign(n, kInvalidNode);
-  bwd_.dist.assign(n, kInfiniteCost);
-  bwd_.stamp.assign(n, 0);
-  bwd_.parent.assign(n, kInvalidNode);
-}
-
-Cost ChQuery::Search(NodeId source, NodeId target, NodeId* meeting) {
-  ++num_queries_;
-  if (meeting != nullptr) *meeting = kInvalidNode;
-  if (source == target) {
-    if (meeting != nullptr) *meeting = source;
-    return 0;
-  }
-  ++now_;
-  if (now_ == 0) {
-    std::fill(fwd_.stamp.begin(), fwd_.stamp.end(), 0);
-    std::fill(bwd_.stamp.begin(), bwd_.stamp.end(), 0);
-    now_ = 1;
-  }
-  while (!fwd_.queue.empty()) fwd_.queue.pop();
-  while (!bwd_.queue.empty()) bwd_.queue.pop();
-
-  auto get = [&](Side& s, NodeId v) {
-    return s.stamp[static_cast<size_t>(v)] == now_ ? s.dist[static_cast<size_t>(v)]
-                                                   : kInfiniteCost;
-  };
-  auto set = [&](Side& s, NodeId v, Cost d, NodeId parent) {
-    s.stamp[static_cast<size_t>(v)] = now_;
-    s.dist[static_cast<size_t>(v)] = d;
-    s.parent[static_cast<size_t>(v)] = parent;
-  };
-
-  set(fwd_, source, 0, kInvalidNode);
-  set(bwd_, target, 0, kInvalidNode);
-  fwd_.queue.push({0, source});
-  bwd_.queue.push({0, target});
-  Cost best = kInfiniteCost;
-  NodeId best_meet = kInvalidNode;
-
-  auto relax = [&](Side& side, NodeId v, Cost d, const std::vector<int64_t>& begin,
-                   const std::vector<NodeId>& to, const std::vector<Cost>& cost) {
-    for (int64_t i = begin[static_cast<size_t>(v)];
-         i < begin[static_cast<size_t>(v) + 1]; ++i) {
-      const NodeId w = to[static_cast<size_t>(i)];
-      const Cost nd = d + cost[static_cast<size_t>(i)];
-      if (nd < get(side, w)) {
-        set(side, w, nd, v);
-        side.queue.push({nd, w});
-      }
-    }
-  };
-
-  // Stall-on-demand: a popped label dominated via an edge from a
-  // higher-ranked node cannot lie on a shortest up-down path; skip it.
-  auto stalled = [&](Side& side, NodeId v, Cost d,
-                     const std::vector<int64_t>& rbegin,
-                     const std::vector<NodeId>& rto,
-                     const std::vector<Cost>& rcost) {
-    for (int64_t i = rbegin[static_cast<size_t>(v)];
-         i < rbegin[static_cast<size_t>(v) + 1]; ++i) {
-      const Cost dw = get(side, rto[static_cast<size_t>(i)]);
-      if (dw < kInfiniteCost && dw + rcost[static_cast<size_t>(i)] < d) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  bool fwd_done = false, bwd_done = false;
-  while ((!fwd_done && !fwd_.queue.empty()) ||
-         (!bwd_done && !bwd_.queue.empty())) {
-    if (!fwd_done && !fwd_.queue.empty()) {
-      auto [d, v] = fwd_.queue.top();
-      fwd_.queue.pop();
-      if (d <= get(fwd_, v)) {
-        if (d >= best) {
-          fwd_done = true;
-        } else {
-          const Cost od = get(bwd_, v);
-          if (od < kInfiniteCost && d + od < best) {
-            best = d + od;
-            best_meet = v;
-          }
-          if (!stalled(fwd_, v, d, ch_.down_begin_, ch_.down_to_,
-                       ch_.down_cost_)) {
-            relax(fwd_, v, d, ch_.up_begin_, ch_.up_to_, ch_.up_cost_);
-          }
-        }
-      }
-    } else {
-      fwd_done = true;
-    }
-    if (!bwd_done && !bwd_.queue.empty()) {
-      auto [d, v] = bwd_.queue.top();
-      bwd_.queue.pop();
-      if (d <= get(bwd_, v)) {
-        if (d >= best) {
-          bwd_done = true;
-        } else {
-          const Cost od = get(fwd_, v);
-          if (od < kInfiniteCost && d + od < best) {
-            best = d + od;
-            best_meet = v;
-          }
-          if (!stalled(bwd_, v, d, ch_.up_begin_, ch_.up_to_, ch_.up_cost_)) {
-            relax(bwd_, v, d, ch_.down_begin_, ch_.down_to_, ch_.down_cost_);
-          }
-        }
-      }
-    } else {
-      bwd_done = true;
-    }
-    if (fwd_done && bwd_done) break;
-  }
-  if (meeting != nullptr) *meeting = best_meet;
-  return best;
-}
-
-Cost ChQuery::Distance(NodeId source, NodeId target) {
-  return Search(source, target, nullptr);
-}
-
-namespace {
-
-/// Finds the index of the minimum-cost edge v -> `key` in a CSR slice.
-int64_t FindEdgeSlot(const std::vector<int64_t>& begin,
-                     const std::vector<NodeId>& to, const std::vector<Cost>& cost,
-                     NodeId v, NodeId key) {
-  int64_t found = -1;
-  for (int64_t i = begin[static_cast<size_t>(v)];
-       i < begin[static_cast<size_t>(v) + 1]; ++i) {
-    if (to[static_cast<size_t>(i)] == key &&
-        (found < 0 || cost[static_cast<size_t>(i)] < cost[static_cast<size_t>(found)])) {
-      found = i;
-    }
-  }
-  return found;
-}
-
-}  // namespace
-
-void ChQuery::UnpackUpEdge(NodeId a, NodeId b, std::vector<NodeId>* out) const {
-  // Edge a -> b with rank[b] > rank[a] lives in up_[a].
-  const int64_t slot =
-      FindEdgeSlot(ch_.up_begin_, ch_.up_to_, ch_.up_cost_, a, b);
-  assert(slot >= 0 && "missing upward edge during unpack");
-  const NodeId m = ch_.up_middle_[static_cast<size_t>(slot)];
-  if (m == kInvalidNode) {
-    out->push_back(b);
-    return;
-  }
-  // Constituents: a -> m (rank[m] < rank[a]: a down edge stored at m) and
-  // m -> b (rank[m] < rank[b]: an up edge stored at m).
-  UnpackDownEdge(a, m, out);
-  UnpackUpEdge(m, b, out);
-}
-
-void ChQuery::UnpackDownEdge(NodeId a, NodeId b, std::vector<NodeId>* out) const {
-  // Edge a -> b with rank[a] > rank[b] is stored reversed in down_[b].
-  const int64_t slot =
-      FindEdgeSlot(ch_.down_begin_, ch_.down_to_, ch_.down_cost_, b, a);
-  assert(slot >= 0 && "missing downward edge during unpack");
-  const NodeId m = ch_.down_middle_[static_cast<size_t>(slot)];
-  if (m == kInvalidNode) {
-    out->push_back(b);
-    return;
-  }
-  UnpackDownEdge(a, m, out);
-  UnpackUpEdge(m, b, out);
-}
-
-Cost ChQuery::Path(NodeId source, NodeId target, std::vector<NodeId>* path) {
-  path->clear();
-  NodeId meeting = kInvalidNode;
-  const Cost d = Search(source, target, &meeting);
-  if (d == kInfiniteCost) return d;
-  if (source == target) {
-    path->push_back(source);
-    return 0;
-  }
-  // Hierarchy-space node chains source -> meeting and meeting -> target.
-  std::vector<NodeId> up_chain;  // source ... meeting (ascending ranks)
-  for (NodeId v = meeting; v != kInvalidNode;
-       v = fwd_.parent[static_cast<size_t>(v)]) {
-    up_chain.push_back(v);
-  }
-  std::reverse(up_chain.begin(), up_chain.end());
-  std::vector<NodeId> down_chain;  // meeting ... target (descending ranks)
-  for (NodeId v = meeting; v != kInvalidNode;
-       v = bwd_.parent[static_cast<size_t>(v)]) {
-    down_chain.push_back(v);
-  }
-  path->push_back(source);
-  for (size_t i = 0; i + 1 < up_chain.size(); ++i) {
-    UnpackUpEdge(up_chain[i], up_chain[i + 1], path);
-  }
-  for (size_t i = 0; i + 1 < down_chain.size(); ++i) {
-    UnpackDownEdge(down_chain[i], down_chain[i + 1], path);
-  }
-  return d;
 }
 
 }  // namespace urr

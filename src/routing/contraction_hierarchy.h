@@ -1,13 +1,12 @@
-// Contraction Hierarchies (Geisberger et al.): preprocessing-based exact
-// point-to-point shortest paths. The URR schedulers issue millions of
-// cost(u,v) queries (Lemma 3.1 checks, Δ computations, utility ratios); CH
-// answers each in microseconds on city-scale networks, which is what makes
-// the paper's experiment sizes tractable.
+// Contraction Hierarchies (Geisberger et al.) as a build step: contraction
+// ranks every node and adds the shortcuts that keep upward searches exact.
+// The hierarchy answers no queries itself; HubLabels::Build extracts the
+// production distance labels from it (routing/hub_labels.h), and the .urrx
+// snapshot stores it next to them.
 #ifndef URR_ROUTING_CONTRACTION_HIERARCHY_H_
 #define URR_ROUTING_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -34,8 +33,8 @@ struct ChOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// A built hierarchy. Build once per network with `Build`, then call
-/// `Distance` from any number of `ChQuery` instances.
+/// A built hierarchy. Build once per network with `Build`, then extract hub
+/// labels from it with `HubLabels::Build`.
 class ContractionHierarchy {
  public:
   /// Constructs an empty (0-node) hierarchy; assign a Build() or
@@ -65,7 +64,6 @@ class ContractionHierarchy {
   static Result<ContractionHierarchy> Deserialize(BinaryReader* reader);
 
  private:
-  friend class ChQuery;
   friend class HubLabels;
   friend class HubLabelUpwardSearcher;  // label extraction's search scratch
 
@@ -76,7 +74,8 @@ class ContractionHierarchy {
   std::vector<NodeId> up_to_;
   std::vector<Cost> up_cost_;
   // Contracted node each (possibly shortcut) edge skips; kInvalidNode for
-  // original edges. Parallel to up_to_ / down_to_.
+  // original edges. Parallel to up_to_ / down_to_. Read by nothing; kept
+  // only because the .urrx v1 CH section pins their bytes.
   std::vector<NodeId> up_middle_;
   // Upward backward graph: reversed edges of (a -> b, rank[a] > rank[b]),
   // stored as b -> a so the backward search also climbs ranks.
@@ -84,46 +83,6 @@ class ContractionHierarchy {
   std::vector<NodeId> down_to_;
   std::vector<Cost> down_cost_;
   std::vector<NodeId> down_middle_;
-};
-
-/// Query context over a built hierarchy; owns scratch arrays, so queries are
-/// allocation-free. Not thread-safe; create one per thread.
-class ChQuery {
- public:
-  /// The query keeps a reference; `ch` must outlive it.
-  explicit ChQuery(const ContractionHierarchy& ch);
-
-  /// Exact shortest-path cost (kInfiniteCost when unreachable).
-  Cost Distance(NodeId source, NodeId target);
-
-  /// Like Distance, and also reconstructs the node path in the ORIGINAL
-  /// network (shortcuts unpacked). `path` is emptied when unreachable.
-  Cost Path(NodeId source, NodeId target, std::vector<NodeId>* path);
-
-  /// Number of Distance() calls served (for bench reporting).
-  int64_t num_queries() const { return num_queries_; }
-
- private:
-  struct Side {
-    std::vector<Cost> dist;
-    std::vector<uint32_t> stamp;
-    std::vector<NodeId> parent;  // hierarchy-graph predecessor
-    using Entry = std::pair<Cost, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  };
-
-  /// Shared search core; records the best meeting node when asked.
-  Cost Search(NodeId source, NodeId target, NodeId* meeting);
-  /// Appends the original-network nodes of hierarchy edge a -> b (cost c),
-  /// excluding `a` itself, by recursively expanding shortcut middles.
-  void UnpackUpEdge(NodeId a, NodeId b, std::vector<NodeId>* out) const;
-  void UnpackDownEdge(NodeId a, NodeId b, std::vector<NodeId>* out) const;
-
-  const ContractionHierarchy& ch_;
-  Side fwd_;
-  Side bwd_;
-  uint32_t now_ = 0;
-  int64_t num_queries_ = 0;
 };
 
 }  // namespace urr

@@ -103,10 +103,8 @@ Cost DisruptionOverlay::Distance(NodeId u, NodeId v) {
 }
 
 std::unique_ptr<DistanceOracle> DisruptionOverlay::Clone() const {
-  std::unique_ptr<DistanceOracle> base_clone = base_->Clone();
-  if (base_clone == nullptr) return nullptr;
-  return std::unique_ptr<DistanceOracle>(new DisruptionOverlay(
-      std::move(base_clone), *network_, state_, stats_));
+  return std::unique_ptr<DistanceOracle>(
+      new DisruptionOverlay(base_->Clone(), *network_, state_, stats_));
 }
 
 Cost DisruptionOverlay::PerturbedDistance(NodeId u, NodeId v) {

@@ -115,7 +115,7 @@ class DisruptionOverlay : public DistanceOracle {
 
   Cost Distance(NodeId u, NodeId v) override;
   /// Clones the base oracle (owning it) behind a new overlay sharing this
-  /// one's DisruptionState and stats; nullptr when the base cannot clone.
+  /// one's DisruptionState and stats.
   std::unique_ptr<DistanceOracle> Clone() const override;
 
   const DisruptionState& state() const { return *state_; }

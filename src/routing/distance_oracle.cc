@@ -1,7 +1,5 @@
 #include "routing/distance_oracle.h"
 
-#include "common/status.h"
-
 namespace urr {
 
 void DistanceOracle::BatchDistances(std::span<const NodeId> sources,
@@ -31,27 +29,6 @@ Cost DijkstraOracle::Distance(NodeId u, NodeId v) {
 
 std::unique_ptr<DistanceOracle> DijkstraOracle::Clone() const {
   return std::make_unique<DijkstraOracle>(*network_);
-}
-
-Result<std::unique_ptr<ChOracle>> ChOracle::Create(const RoadNetwork& network,
-                                                   const ChOptions& options) {
-  URR_ASSIGN_OR_RETURN(ContractionHierarchy ch,
-                       ContractionHierarchy::Build(network, options));
-  return FromHierarchy(std::move(ch));
-}
-
-std::unique_ptr<ChOracle> ChOracle::FromHierarchy(ContractionHierarchy ch) {
-  return std::make_unique<ChOracle>(
-      std::make_shared<const ContractionHierarchy>(std::move(ch)));
-}
-
-Cost ChOracle::Distance(NodeId u, NodeId v) {
-  ++num_calls_;
-  return query_.Distance(u, v);
-}
-
-std::unique_ptr<DistanceOracle> ChOracle::Clone() const {
-  return std::make_unique<ChOracle>(ch_);
 }
 
 }  // namespace urr

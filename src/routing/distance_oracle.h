@@ -1,7 +1,7 @@
 // DistanceOracle: the one interface through which all URR components ask for
 // shortest-path costs. Implementations: hub labels (the production oracle,
-// routing/hub_labels.h), CH (index verification and path expansion) and
-// plain Dijkstra (the reference).
+// routing/hub_labels.h), plain Dijkstra (the reference) and the disruption
+// overlay that layers closures over either (routing/disruption_overlay.h).
 #ifndef URR_ROUTING_DISTANCE_ORACLE_H_
 #define URR_ROUTING_DISTANCE_ORACLE_H_
 
@@ -9,8 +9,6 @@
 #include <memory>
 #include <span>
 
-#include "common/result.h"
-#include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
 #include "graph/road_network.h"
 
@@ -43,11 +41,11 @@ class DistanceOracle {
 
   /// An independent query context over the same network, for use from
   /// another thread: answers exactly the same distances as this oracle but
-  /// shares no mutable state with it (scratch arrays, caches and call
-  /// counters are per-clone; preprocessing like a built hierarchy is shared
-  /// read-only). Returns nullptr when the implementation cannot clone — the
-  /// solvers then fall back to serial evaluation.
-  virtual std::unique_ptr<DistanceOracle> Clone() const { return nullptr; }
+  /// shares no mutable state with it (scratch arrays and call counters are
+  /// per-clone; preprocessing like a label store is shared read-only).
+  /// Never returns nullptr: AttachThreadPool and the engine's disruption
+  /// overlay give every worker a clone without checking.
+  virtual std::unique_ptr<DistanceOracle> Clone() const = 0;
 
   /// Number of Distance calls made so far (for bench accounting).
   int64_t num_calls() const { return num_calls_; }
@@ -68,31 +66,6 @@ class DijkstraOracle : public DistanceOracle {
  private:
   const RoadNetwork* network_;
   DijkstraEngine engine_;
-};
-
-/// CH-backed oracle. The hierarchy is shared immutably across clones, as
-/// HubLabelOracle shares its labels; each instance owns its query scratch.
-class ChOracle : public DistanceOracle {
- public:
-  /// Builds the hierarchy for `network` (keeps no reference to it afterwards).
-  static Result<std::unique_ptr<ChOracle>> Create(const RoadNetwork& network,
-                                                  const ChOptions& options = {});
-  /// Wraps an already-built (e.g. snapshot-loaded) hierarchy.
-  static std::unique_ptr<ChOracle> FromHierarchy(ContractionHierarchy ch);
-
-  explicit ChOracle(std::shared_ptr<const ContractionHierarchy> ch)
-      : ch_(std::move(ch)), query_(*ch_) {}
-
-  Cost Distance(NodeId u, NodeId v) override;
-  /// Clones share the hierarchy (no rebuild, no copy) and own a fresh
-  /// ChQuery; a clone stays valid after this oracle is destroyed.
-  std::unique_ptr<DistanceOracle> Clone() const override;
-
-  const ContractionHierarchy& hierarchy() const { return *ch_; }
-
- private:
-  std::shared_ptr<const ContractionHierarchy> ch_;
-  ChQuery query_;
 };
 
 }  // namespace urr

@@ -19,8 +19,8 @@ struct LabelEntry {
 
 }  // namespace
 
-/// Per-worker scratch for one complete upward search: ChQuery's timestamped
-/// relax / stall-on-demand rules, settle order recorded. The search is a
+/// Per-worker scratch for one complete upward search: timestamped relax and
+/// stall-on-demand, settle order recorded. The search is a
 /// pure function of the (immutable) hierarchy, so any worker produces the
 /// identical settled list for a given (source, direction).
 class HubLabelUpwardSearcher {
@@ -321,12 +321,7 @@ Result<std::unique_ptr<HubLabelOracle>> HubLabelOracle::Create(
     const RoadNetwork& network, const ChOptions& options) {
   URR_ASSIGN_OR_RETURN(ContractionHierarchy ch,
                        ContractionHierarchy::Build(network, options));
-  return FromHierarchy(ch, options.pool);
-}
-
-Result<std::unique_ptr<HubLabelOracle>> HubLabelOracle::FromHierarchy(
-    const ContractionHierarchy& ch, ThreadPool* pool) {
-  URR_ASSIGN_OR_RETURN(HubLabels labels, HubLabels::Build(ch, pool));
+  URR_ASSIGN_OR_RETURN(HubLabels labels, HubLabels::Build(ch, options.pool));
   return std::make_unique<HubLabelOracle>(
       std::make_shared<const HubLabels>(std::move(labels)));
 }

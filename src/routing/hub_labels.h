@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "routing/contraction_hierarchy.h"
 #include "routing/distance_oracle.h"
 
 namespace urr {
@@ -26,9 +27,9 @@ class HubLabels {
   HubLabels() = default;
 
   /// Extracts labels from a built hierarchy: for each node, one complete
-  /// upward search per direction (same relax + stall-on-demand rules as
-  /// ChQuery), processed in descending rank order so entries dominated via
-  /// an already-labeled higher hub are pruned exactly.
+  /// upward search per direction (relax plus stall-on-demand), processed in
+  /// descending rank order so entries dominated via an already-labeled
+  /// higher hub are pruned exactly.
   ///
   /// With a pool, the searches — the dominant cost — run in parallel over
   /// fixed-size rank blocks while the pruning pass stays serial in
@@ -103,9 +104,6 @@ class HubLabelOracle : public DistanceOracle {
   /// self-contained).
   static Result<std::unique_ptr<HubLabelOracle>> Create(
       const RoadNetwork& network, const ChOptions& options = {});
-  /// Extracts labels from an already-built hierarchy.
-  static Result<std::unique_ptr<HubLabelOracle>> FromHierarchy(
-      const ContractionHierarchy& ch, ThreadPool* pool = nullptr);
 
   explicit HubLabelOracle(std::shared_ptr<const HubLabels> labels)
       : labels_(std::move(labels)) {}

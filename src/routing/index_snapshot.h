@@ -43,8 +43,9 @@ inline constexpr uint32_t kSnapshotSectionCh = 2;
 inline constexpr uint32_t kSnapshotSectionHubLabels = 3;
 
 /// Everything the routing layer needs, fully built: the network plus both
-/// preprocessing artifacts. The experiment harness routes on the hub labels;
-/// the hierarchy serves `urr_index verify` and path expansion.
+/// preprocessing artifacts. The experiment harness routes on the hub labels.
+/// Nothing queries the hierarchy; it stays only because the version-1 layout
+/// requires its section (a GRAPH + HL version 2 would drop it).
 struct IndexSnapshot {
   RoadNetwork network;
   ContractionHierarchy ch;

@@ -217,17 +217,12 @@ void AttachThreadPool(SolverContext* ctx, ThreadPool* pool) {
     return;
   }
   // Build the whole set locally and attach it only when complete: if any
-  // Clone() throws or declines, the partial set (and its owned clones)
-  // unwinds here and the context stays serial with no dangling pointers.
+  // Clone() throws, the partial set (and its owned clones) unwinds here and
+  // the context stays serial with no dangling pointers.
   auto set = std::make_shared<WorkerOracleSet>();
   set->oracles.push_back(ctx->oracle);  // worker 0 is the caller
   for (int w = 1; w < pool->num_threads(); ++w) {
     std::unique_ptr<DistanceOracle> clone = ctx->oracle->Clone();
-    if (clone == nullptr) {
-      // Not cloneable: leave the context serial (eval_pool() sees the
-      // missing worker set and declines to fan out).
-      return;
-    }
     set->oracles.push_back(clone.get());
     set->owned.push_back(std::move(clone));
   }

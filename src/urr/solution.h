@@ -131,9 +131,8 @@ struct SolverContext {
 
 /// Wires `ctx` for parallel evaluation on `pool`: clones ctx->oracle once
 /// per extra worker into a WorkerOracleSet owned by the context (shared
-/// with context copies). When the oracle cannot clone, the context is left
-/// serial (worker_set empty). Exception-safe: a throwing Clone() leaves
-/// the context exactly as it was.
+/// with context copies). Exception-safe: a throwing Clone() leaves the
+/// context serial (worker_set empty).
 void AttachThreadPool(SolverContext* ctx, ThreadPool* pool);
 
 /// Outcome of evaluating "insert rider i into vehicle j's current schedule".

@@ -10,20 +10,42 @@
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "routing/dijkstra.h"
+#include "routing/hub_labels.h"
 
+// The hierarchy answers no queries itself; it is checked through what it is
+// built for: hub labels extracted from it must match Dijkstra.
 namespace urr {
 namespace {
+
+/// Builds the hierarchy of `g` and the hub labels extracted from it.
+HubLabels LabelsOver(const RoadNetwork& g) {
+  auto ch = ContractionHierarchy::Build(g);
+  EXPECT_TRUE(ch.ok()) << ch.status();
+  if (!ch.ok()) return {};
+  auto labels = HubLabels::Build(*ch);
+  EXPECT_TRUE(labels.ok()) << labels.status();
+  return labels.ok() ? *std::move(labels) : HubLabels();
+}
+
+/// Every (s, t) distance of a small graph, hub labels against Dijkstra.
+void ExpectAllPairsMatchDijkstra(const RoadNetwork& g, const HubLabels& hl) {
+  DijkstraEngine ref(g);
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      EXPECT_EQ(hl.Distance(s, t), ref.Distance(s, t)) << s << " -> " << t;
+    }
+  }
+}
 
 TEST(ChTest, TinyLineGraph) {
   auto g = RoadNetwork::Build(4, {{0, 1, 1}, {1, 2, 2}, {2, 3, 3}});
   ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
-  EXPECT_DOUBLE_EQ(q.Distance(0, 3), 6);
-  EXPECT_DOUBLE_EQ(q.Distance(0, 0), 0);
-  EXPECT_DOUBLE_EQ(q.Distance(3, 0), kInfiniteCost);
-  EXPECT_EQ(q.num_queries(), 3);
+  const HubLabels hl = LabelsOver(*g);
+  ASSERT_EQ(hl.num_nodes(), 4);
+  EXPECT_DOUBLE_EQ(hl.Distance(0, 3), 6);
+  EXPECT_DOUBLE_EQ(hl.Distance(0, 0), 0);
+  EXPECT_EQ(hl.Distance(3, 0), kInfiniteCost);
+  ExpectAllPairsMatchDijkstra(*g, hl);
 }
 
 TEST(ChTest, RanksAreAPermutation) {
@@ -63,14 +85,13 @@ TEST(ChTest, MatchesDijkstraOnRandomGrid) {
   opt.arterial_fraction = 0.03;
   auto g = GenerateGridCity(opt, &rng);
   ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
+  const HubLabels hl = LabelsOver(*g);
+  ASSERT_EQ(hl.num_nodes(), g->num_nodes());
   DijkstraEngine ref(*g);
   for (int trial = 0; trial < 300; ++trial) {
     const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
     const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    ExpectDistanceEq(q.Distance(s, t), ref.Distance(s, t), s, t);
+    ExpectDistanceEq(hl.Distance(s, t), ref.Distance(s, t), s, t);
   }
 }
 
@@ -92,73 +113,14 @@ TEST(ChTest, MatchesDijkstraOnDirectedGraph) {
   }
   auto g = RoadNetwork::Build(n, edges, coords);
   ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
+  const HubLabels hl = LabelsOver(*g);
+  ASSERT_EQ(hl.num_nodes(), n);
   DijkstraEngine ref(*g);
   for (int trial = 0; trial < 400; ++trial) {
     const NodeId s = static_cast<NodeId>(rng.UniformInt(0, n - 1));
     const NodeId t = static_cast<NodeId>(rng.UniformInt(0, n - 1));
-    ExpectDistanceEq(q.Distance(s, t), ref.Distance(s, t), s, t);
+    ExpectDistanceEq(hl.Distance(s, t), ref.Distance(s, t), s, t);
   }
-}
-
-TEST(ChTest, PathUnpacksToOriginalEdges) {
-  Rng rng(45);
-  GridCityOptions opt;
-  opt.width = 15;
-  opt.height = 12;
-  opt.arterial_fraction = 0.05;  // shortcuts guaranteed interesting
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
-  DijkstraEngine ref(*g);
-  int nontrivial = 0;
-  for (int trial = 0; trial < 150; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    const NodeId t = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    std::vector<NodeId> path;
-    const Cost d = q.Path(s, t, &path);
-    const Cost want = ref.Distance(s, t);
-    if (want == kInfiniteCost) {
-      EXPECT_EQ(d, kInfiniteCost);
-      EXPECT_TRUE(path.empty());
-      continue;
-    }
-    ASSERT_NEAR(d, want, 1e-6) << s << " -> " << t;
-    // The path must be a real walk in the original network whose edge
-    // costs sum to the distance.
-    ASSERT_GE(path.size(), 1u);
-    EXPECT_EQ(path.front(), s);
-    EXPECT_EQ(path.back(), t);
-    Cost total = 0;
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      const Cost leg = g->EdgeCost(path[i], path[i + 1]);
-      ASSERT_LT(leg, kInfiniteCost)
-          << "no original edge " << path[i] << " -> " << path[i + 1];
-      total += leg;
-    }
-    EXPECT_NEAR(total, want, 1e-6);
-    if (path.size() > 3) ++nontrivial;
-  }
-  EXPECT_GT(nontrivial, 30);  // the sweep must exercise real unpacking
-}
-
-TEST(ChTest, PathIdentityAndUnreachable) {
-  auto g = RoadNetwork::Build(3, {{0, 1, 2}});
-  ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
-  std::vector<NodeId> path;
-  EXPECT_DOUBLE_EQ(q.Path(1, 1, &path), 0);
-  EXPECT_EQ(path, (std::vector<NodeId>{1}));
-  EXPECT_EQ(q.Path(1, 0, &path), kInfiniteCost);
-  EXPECT_TRUE(path.empty());
-  EXPECT_DOUBLE_EQ(q.Path(0, 1, &path), 2);
-  EXPECT_EQ(path, (std::vector<NodeId>{0, 1}));
 }
 
 TEST(ChTest, HandlesParallelEdgesAndSelfLoops) {
@@ -168,20 +130,20 @@ TEST(ChTest, HandlesParallelEdgesAndSelfLoops) {
                                   {1, 2, 4},
                                   {1, 2, 7}});
   ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
-  EXPECT_DOUBLE_EQ(q.Distance(0, 2), 6);
+  const HubLabels hl = LabelsOver(*g);
+  ASSERT_EQ(hl.num_nodes(), 3);
+  EXPECT_DOUBLE_EQ(hl.Distance(0, 2), 6);
+  ExpectAllPairsMatchDijkstra(*g, hl);
 }
 
 TEST(ChTest, DisconnectedComponents) {
   auto g = RoadNetwork::Build(4, {{0, 1, 1}, {2, 3, 1}});
   ASSERT_TRUE(g.ok());
-  auto ch = ContractionHierarchy::Build(*g);
-  ASSERT_TRUE(ch.ok());
-  ChQuery q(*ch);
-  EXPECT_DOUBLE_EQ(q.Distance(0, 1), 1);
-  EXPECT_EQ(q.Distance(0, 3), kInfiniteCost);
+  const HubLabels hl = LabelsOver(*g);
+  ASSERT_EQ(hl.num_nodes(), 4);
+  EXPECT_DOUBLE_EQ(hl.Distance(0, 1), 1);
+  EXPECT_EQ(hl.Distance(0, 3), kInfiniteCost);
+  ExpectAllPairsMatchDijkstra(*g, hl);
 }
 
 TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
@@ -217,7 +179,7 @@ TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
 // edge costs. Two same-round winners can witness each other's shortcut at
 // exactly equal cost; the round simulation must not let both suppress
 // (witness comparison must be strict), or the path disappears entirely and
-// queries silently overestimate.
+// the labels extracted from the hierarchy silently overestimate.
 TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
   Rng rng(20170512);
   GridCityOptions opt;
@@ -231,16 +193,15 @@ TEST(ChParallelTest, ExactOnHeavilyTiedCosts) {
   auto q = RoadNetwork::Build(g->num_nodes(), std::move(edges), g->coords());
   ASSERT_TRUE(q.ok());
 
-  auto ch = ContractionHierarchy::Build(*q);
-  ASSERT_TRUE(ch.ok());
-  ChQuery query(*ch);
+  const HubLabels hl = LabelsOver(*q);
+  ASSERT_EQ(hl.num_nodes(), q->num_nodes());
   DijkstraEngine ref(*q);
   std::vector<NodeId> targets;
   for (NodeId t = 0; t < q->num_nodes(); t += 5) targets.push_back(t);
   for (NodeId s = 0; s < q->num_nodes(); s += 7) {
     const std::vector<Cost> want = ref.Distances(s, targets);
     for (size_t j = 0; j < targets.size(); ++j) {
-      ExpectDistanceEq(query.Distance(s, targets[j]), want[j], s, targets[j]);
+      ExpectDistanceEq(hl.Distance(s, targets[j]), want[j], s, targets[j]);
     }
   }
 }

@@ -73,7 +73,10 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, ReadMissingFileFails) {
   auto r = ReadCsvFile("/nonexistent/path/x.csv");
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  // A directory opens but cannot be read: a read error, not an empty table.
+  auto dir = ReadCsvFile(::testing::TempDir());
+  EXPECT_EQ(dir.status().code(), StatusCode::kIOError);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

@@ -73,7 +73,10 @@ TEST(DimacsTest, ExportRoundTrips) {
 
 TEST(DimacsTest, LoadMissingFileFails) {
   auto r = LoadDimacsFiles("/does/not/exist.gr");
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  // A directory opens but cannot be read: a read error, not an empty graph.
+  auto dir = LoadDimacsFiles(::testing::TempDir());
+  EXPECT_EQ(dir.status().code(), StatusCode::kIOError);
 }
 
 TEST(DimacsTest, RejectsCorruptHeadersAndArcs) {

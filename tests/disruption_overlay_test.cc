@@ -1,7 +1,7 @@
 // Differential correctness of the DisruptionOverlay (DESIGN.md §10): every
 // answer it serves while disruptions are active must be bit-identical to an
 // exact Dijkstra run on the perturbed graph — across base oracles
-// (Dijkstra, CH, hub labels), clones, and disrupt/restore cycles.
+// (Dijkstra, hub labels), clones, and disrupt/restore cycles.
 #include "routing/disruption_overlay.h"
 
 #include <gtest/gtest.h>
@@ -118,13 +118,6 @@ TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverDijkstraBase) {
   const RoadNetwork g = MakeCity(7);
   DijkstraOracle base(g);
   CheckAgainstGroundTruth(g, &base, 11);
-}
-
-TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverChBase) {
-  const RoadNetwork g = MakeCity(8);
-  auto ch = ChOracle::Create(g);
-  ASSERT_TRUE(ch.ok()) << ch.status();
-  CheckAgainstGroundTruth(g, ch->get(), 12);
 }
 
 TEST(DisruptionOverlayTest, MatchesPerturbedDijkstraOverQueriedHubLabelBase) {

@@ -228,10 +228,9 @@ TEST(IndexSnapshotGoldenTest, CityScaleBytesArePinned) {
 TEST(IndexSnapshotGoldenTest, FixtureOraclesAgreeBitwise) {
   auto parsed = ParseIndexSnapshot(ReadFileBytes(GoldenPath()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  // Quantized edge costs make path sums exact, so CH, hub labels and
-  // reference Dijkstra must agree bitwise, not just approximately.
+  // Quantized edge costs make path sums exact, so hub labels and reference
+  // Dijkstra must agree bitwise, not just approximately.
   DijkstraOracle ref(parsed->network);
-  auto ch = ChOracle::FromHierarchy(std::move(parsed->ch));
   HubLabelOracle hl(std::make_shared<const HubLabels>(
       std::move(parsed->hub_labels)));
   Rng rng(99);
@@ -241,7 +240,6 @@ TEST(IndexSnapshotGoldenTest, FixtureOraclesAgreeBitwise) {
     const NodeId v = static_cast<NodeId>(
         rng.UniformInt(0, parsed->network.num_nodes() - 1));
     const Cost want = ref.Distance(u, v);
-    EXPECT_EQ(BitsOf(ch->Distance(u, v)), BitsOf(want)) << u << "->" << v;
     EXPECT_EQ(BitsOf(hl.Distance(u, v)), BitsOf(want)) << u << "->" << v;
   }
 }

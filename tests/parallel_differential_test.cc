@@ -9,8 +9,7 @@
 //
 // Oracle differential: on quantized-cost grids (every edge cost a multiple
 // of 1/256, so path sums are exact in double arithmetic) the same solves
-// under hub labels and under the CH must also be byte-identical to the
-// Dijkstra reference.
+// under hub labels must also be byte-identical to the Dijkstra reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -372,12 +371,6 @@ std::unique_ptr<DistanceOracle> MakeDijkstra(const RoadNetwork& g) {
   return std::make_unique<DijkstraOracle>(g);
 }
 
-std::unique_ptr<DistanceOracle> MakeCh(const RoadNetwork& g) {
-  auto ch = ChOracle::Create(g);
-  EXPECT_TRUE(ch.ok()) << ch.status();
-  return ch.ok() ? *std::move(ch) : nullptr;
-}
-
 std::unique_ptr<DistanceOracle> MakeHubLabels(const RoadNetwork& g) {
   auto hl = HubLabelOracle::Create(g);
   EXPECT_TRUE(hl.ok()) << hl.status();
@@ -417,8 +410,8 @@ std::string RunOnQuantizedGrid(uint64_t seed, int riders, int vehicles,
 
 // The exactness claim, end to end: with quantized edge costs the whole
 // solver output — assignment, stops, utility and cost bits — under hub
-// labels (production) and under the CH is identical to the Dijkstra
-// reference, serial or parallel, at any thread count.
+// labels (production) is identical to the Dijkstra reference, serial or
+// parallel, at any thread count.
 TEST(ParallelDifferentialTest, QuantizedGridsHubLabelsAndChMatchDijkstra) {
   struct Scenario {
     uint64_t seed;
@@ -429,8 +422,6 @@ TEST(ParallelDifferentialTest, QuantizedGridsHubLabelsAndChMatchDijkstra) {
       {11, 40, 8, 3, 200, 2000},
       {23, 35, 7, 2, 100, 800},
   };
-  const std::vector<std::pair<const char*, OracleFactory>> contenders = {
-      {"ch", &MakeCh}, {"hub labels", &MakeHubLabels}};
   for (const Scenario& s : scenarios) {
     for (Variant v : AllVariants()) {
       SCOPED_TRACE(std::string(VariantName(v)) + " seed=" +
@@ -439,14 +430,12 @@ TEST(ParallelDifferentialTest, QuantizedGridsHubLabelsAndChMatchDijkstra) {
           RunOnQuantizedGrid(s.seed, s.riders, s.vehicles, s.capacity,
                              s.deadline_lo, s.deadline_hi, v, &MakeDijkstra, 1);
       ASSERT_FALSE(want.empty());
-      for (const auto& [name, make] : contenders) {
-        SCOPED_TRACE(name);
+      for (int threads : {1, 8}) {
         EXPECT_EQ(want, RunOnQuantizedGrid(s.seed, s.riders, s.vehicles,
                                            s.capacity, s.deadline_lo,
-                                           s.deadline_hi, v, make, 1));
-        EXPECT_EQ(want, RunOnQuantizedGrid(s.seed, s.riders, s.vehicles,
-                                           s.capacity, s.deadline_lo,
-                                           s.deadline_hi, v, make, 8));
+                                           s.deadline_hi, v, &MakeHubLabels,
+                                           threads))
+            << "hub labels, threads=" << threads;
       }
     }
   }
@@ -517,35 +506,6 @@ TEST(ParallelDifferentialTest, SnapshotForDifferentNetworkIsRejected) {
   cfg.index_snapshot = path;
   auto world = BuildWorld(cfg);
   EXPECT_FALSE(world.ok());
-}
-
-// A pool whose oracle cannot clone must silently stay serial (and still be
-// correct), never race on the shared oracle.
-TEST(ParallelDifferentialTest, NonCloneableOracleStaysSerial) {
-  struct Opaque : DistanceOracle {
-    explicit Opaque(DistanceOracle* base) : base_(base) {}
-    Cost Distance(NodeId u, NodeId v) override {
-      ++num_calls_;
-      return base_->Distance(u, v);
-    }
-    DistanceOracle* base_;
-  };
-  auto w = MakeGridWorld(5, 30, 6, 3, 200, 1500);
-  Opaque opaque(w->oracle.get());
-  SolverContext ctx;
-  ctx.oracle = &opaque;
-  ctx.model = w->model.get();
-  ctx.vehicle_index = w->index.get();
-  ctx.rng = &w->rng;
-  ThreadPool pool(4);
-  AttachThreadPool(&ctx, &pool);
-  // The attach must refuse atomically: no pool, no partially filled
-  // worker-oracle set left behind by the failed Clone().
-  EXPECT_EQ(ctx.worker_set, nullptr);
-  EXPECT_EQ(ctx.eval_pool(), nullptr);
-  const UrrSolution sol = SolveEfficientGreedy(w->instance, &ctx);
-  EXPECT_TRUE(sol.Validate(w->instance).ok());
-  EXPECT_GT(opaque.num_calls(), 0);
 }
 
 }  // namespace

@@ -13,12 +13,9 @@ TEST(UmbrellaTest, PublicSurfaceIsComplete) {
   ASSERT_TRUE(network.ok());
   DijkstraOracle oracle(*network);
   EXPECT_LT(oracle.Distance(0, 7), kInfiniteCost);
-  auto ch = ContractionHierarchy::Build(*network);
-  ASSERT_TRUE(ch.ok());
-  ChQuery query(*ch);
-  std::vector<NodeId> path;
-  EXPECT_LT(query.Path(0, 7, &path), kInfiniteCost);
-  EXPECT_FALSE(path.empty());
+  auto labels = HubLabelOracle::Create(*network);
+  ASSERT_TRUE(labels.ok());
+  EXPECT_EQ((*labels)->Distance(0, 7), oracle.Distance(0, 7));
 
   // DIMACS round trip through the umbrella.
   auto reparsed = ParseDimacs(ToDimacsGr(*network));
@@ -74,8 +71,6 @@ TEST(UmbrellaTest, PublicSurfaceIsComplete) {
   auto reorder = FindBestInsertionWithReordering(seq, instance.Trip(1));
   KineticTree tree(1, 0, 2, &oracle);
   EXPECT_TRUE(tree.Insert(instance.Trip(0)).ok());
-  auto route = ExpandScheduleRoute(seq, &query);
-  EXPECT_TRUE(route.ok());
 
   // The per-arrival decision (what the streaming engine commits at W = 0).
   UrrSolution online = MakeEmptySolution(instance, &oracle);
