@@ -332,6 +332,24 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
         "was loaded from snapshot '" +
         config_.index_snapshot_path + "'");
   }
+  // Every id is range-checked against the network and the instance before
+  // anything is sized or indexed with it.
+  const NodeId num_nodes = instance_.network->num_nodes();
+  const auto num_riders_i = static_cast<int64_t>(instance_.riders.size());
+  const auto num_vehicles_i = static_cast<int64_t>(instance_.vehicles.size());
+  auto bad_node = [num_nodes](int64_t v) { return v < 0 || v >= num_nodes; };
+  auto bad_rider = [num_riders_i](int64_t r) {
+    return r < 0 || r >= num_riders_i;
+  };
+  auto bad_vehicle = [num_vehicles_i](int64_t j) {
+    return j < 0 || j >= num_vehicles_i;
+  };
+  auto bad_id = [](const char* what, int64_t id) {
+    return Status::InvalidArgument("checkpoint: " + std::string(what) +
+                                   " id " + std::to_string(id) +
+                                   " out of range");
+  };
+
   URR_RETURN_NOT_OK(ExpectTag(in, "clock"));
   URR_RETURN_NOT_OK(ReadNum(in, &instance_.now));
   URR_RETURN_NOT_OK(ReadNum(in, &window_start_));
@@ -361,6 +379,11 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
     URR_RETURN_NOT_OK(ReadNum(in, &arrival_time_[i]));
     URR_RETURN_NOT_OK(ReadNum(in, &booked_[i]));
     in >> retries_[i];
+    if (!in) break;  // reported by the CheckStream below
+    if (bad_node(r.source) || bad_node(r.destination)) {
+      return bad_id("rider endpoint node", bad_node(r.source) ? r.source
+                                                               : r.destination);
+    }
     if (state < 0 || state > static_cast<int>(RiderState::kAbandoned)) {
       return Status::InvalidArgument("checkpoint: bad rider state " +
                                      std::to_string(state));
@@ -380,6 +403,10 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
     int dead = 0;
     in >> instance_.vehicles[j].location >> instance_.vehicles[j].capacity >>
         dead;
+    URR_RETURN_NOT_OK(CheckStream(in, "vehicles"));
+    if (bad_node(instance_.vehicles[j].location)) {
+      return bad_id("vehicle location node", instance_.vehicles[j].location);
+    }
     dead_[j] = dead != 0;
     vehicle_index_.Update(static_cast<int>(j), instance_.vehicles[j].location);
   }
@@ -394,6 +421,9 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
   queued_.assign(num_queued, -1);
   for (size_t i = 0; i < num_queued; ++i) in >> queued_[i];
   URR_RETURN_NOT_OK(CheckStream(in, "queued"));
+  for (const RiderId r : queued_) {
+    if (bad_rider(r)) return bad_id("queued rider", r);
+  }
 
   // Disruptions must be re-applied before schedules are rebuilt: the
   // rebuilt leg costs have to see the same perturbed distances the
@@ -415,6 +445,9 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
     in >> a >> b;
     URR_RETURN_NOT_OK(ReadNum(in, &factor));
     if (!in) return Status::InvalidArgument("checkpoint: truncated edge");
+    if (bad_node(a) || bad_node(b)) {
+      return bad_id("disrupted edge node", bad_node(a) ? a : b);
+    }
     disruption_state_->Disrupt(a, b, factor);
   }
   if (disruption_state_ != nullptr) {
@@ -429,6 +462,7 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
     return Status::InvalidArgument("checkpoint: bad queue size");
   }
   while (!queue_.empty()) queue_.pop();
+  int64_t queued_inputs = 0;
   for (size_t k = 0; k < queue_size; ++k) {
     Pending e;
     int fault = 0;
@@ -442,7 +476,30 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
                                      std::to_string(fault));
     }
     e.fault = static_cast<FaultKind>(fault);
+    if (e.rank < kRankArrival || e.rank > kRankExpire) {
+      return Status::InvalidArgument("checkpoint: bad queue entry rank " +
+                                     std::to_string(e.rank));
+    }
+    // Rider-driven entries name a rider; the others carry -1 (and faults
+    // their vehicle or edge payload).
+    const bool rider_entry = e.rank != kRankFault && e.rank != kRankBoundary;
+    if (rider_entry ? bad_rider(e.rider) : e.rider != -1) {
+      return bad_id("queue entry rider", e.rider);
+    }
+    if (e.vehicle != -1 && bad_vehicle(e.vehicle)) {
+      return bad_id("queue entry vehicle", e.vehicle);
+    }
+    for (const NodeId x : {e.edge_a, e.edge_b}) {
+      if (x != kInvalidNode && bad_node(x)) return bad_id("queue edge node", x);
+    }
+    if (e.rank != kRankBoundary) ++queued_inputs;
     queue_.push(e);
+  }
+  if (queued_inputs != pending_inputs_) {
+    return Status::InvalidArgument(
+        "checkpoint: pending input count " + std::to_string(pending_inputs_) +
+        " does not match the " + std::to_string(queued_inputs) +
+        " non-boundary queue entries");
   }
 
   URR_RETURN_NOT_OK(ExpectTag(in, "schedules"));
@@ -466,6 +523,7 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
         static_cast<size_t>(num_stops) > 2 * num_riders) {
       return Status::InvalidArgument("checkpoint: bad schedule header");
     }
+    if (bad_node(start)) return bad_id("schedule start node", start);
     std::vector<RiderId> onboard(num_onboard, -1);
     for (size_t k = 0; k < num_onboard; ++k) in >> onboard[k];
     std::vector<Stop> stops(static_cast<size_t>(num_stops));
@@ -473,9 +531,20 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
       int type = 0;
       in >> st.location >> st.rider >> type;
       URR_RETURN_NOT_OK(ReadNum(in, &st.deadline));
+      if (!in) break;  // reported below
+      if (bad_node(st.location)) return bad_id("stop node", st.location);
+      if (bad_rider(st.rider)) return bad_id("stop rider", st.rider);
+      if (type != static_cast<int>(StopType::kPickup) &&
+          type != static_cast<int>(StopType::kDropoff)) {
+        return Status::InvalidArgument("checkpoint: bad stop type " +
+                                       std::to_string(type));
+      }
       st.type = static_cast<StopType>(type);
     }
     if (!in) return Status::InvalidArgument("checkpoint: truncated schedule");
+    for (const RiderId r : onboard) {
+      if (bad_rider(r)) return bad_id("onboard rider", r);
+    }
     solution_.schedules[j] = TransferSequence::FromParts(
         start, now, capacity, solution_.schedules[j].oracle(), commit_floor,
         std::move(onboard), std::move(stops));
@@ -484,6 +553,9 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
   URR_RETURN_NOT_OK(ExpectTag(in, "assignment"));
   for (size_t i = 0; i < num_riders; ++i) in >> solution_.assignment[i];
   URR_RETURN_NOT_OK(CheckStream(in, "assignment"));
+  for (const int a : solution_.assignment) {
+    if (a != -1 && bad_vehicle(a)) return bad_id("assigned vehicle", a);
+  }
 
   URR_RETURN_NOT_OK(ExpectTag(in, "metrics"));
   in >> metrics_.total_arrivals >> metrics_.total_accepted >>

@@ -59,10 +59,12 @@ DispatchEngine::DispatchEngine(const StreamingWorkload* workload,
   // The engine owns the time-varying pieces: its index tracks mid-route
   // anchors and its Rng makes BA's random order part of the replay identity.
   // It also owns the cross-window eval cache (schedule versions invalidate
-  // entries as vehicles mutate) and the eval-path counters.
+  // entries as vehicles mutate) and the eval-path counters. At W = 0 there
+  // are no windows to reuse entries across, so the cache is not attached.
   ctx_.vehicle_index = &vehicle_index_;
   ctx_.rng = &rng_;
-  ctx_.eval_cache = config_.use_eval_cache ? &eval_cache_ : nullptr;
+  ctx_.eval_cache =
+      config_.use_eval_cache && config_.window > 0 ? &eval_cache_ : nullptr;
   ctx_.counters = &counters_;
   ctx_.retrieval_stats = &retrieval_stats_;
   const size_t n = instance_.riders.size();

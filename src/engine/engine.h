@@ -68,7 +68,10 @@ struct EngineConfig {
   /// Cross-window evaluation cache: window solves reuse CandidateEval
   /// entries for (rider, vehicle) pairs whose schedule has not mutated
   /// since the last window. Pure memoization — the event log and final
-  /// fleet state are byte-identical with the cache on or off.
+  /// fleet state are byte-identical with the cache on or off. Only attached
+  /// when window > 0: per-arrival dispatch evaluates each rider once, so at
+  /// W = 0 the cache would cost a locked lookup and store per evaluation
+  /// for next to no hits.
   bool use_eval_cache = true;
   /// Options for the GBS solvers; `base` is overridden to match `solver`.
   GbsOptions gbs;

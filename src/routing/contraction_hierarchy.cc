@@ -66,22 +66,52 @@ struct Overlay {
   }
 };
 
-/// Bounded witness search: returns the shortest u ~> w distance in the
-/// overlay (skipping `excluded`), giving up after kWitnessSettleLimit
-/// settles or once `limit` is exceeded. May overestimate (returns +inf on
-/// give-up), which only costs an extra shortcut.
+/// Bounded one-to-many witness search (Geisberger et al., WEA 2008). One
+/// Dijkstra from an in-neighbor u of the node being contracted decides, for
+/// every out-neighbor w of it, whether some u ~> w path that avoids it is
+/// STRICTLY cheaper than via_w = c(u, v) + c(v, w). The search relaxes only
+/// up to the largest via_w among the targets not yet witnessed, settles at
+/// most kWitnessSettleLimit nodes and stops once every target is witnessed.
+/// Giving up may miss a witness, which only costs an extra shortcut.
+///
+/// The answer equals that of one search per (u, w) pair bounded by via_w:
+/// nodes pop in (cost, id) order, so each node cheaper than via_w settles
+/// at the same position (and within the same settle budget) as in the
+/// per-pair search, and only such a node can relax w below via_w.
 class WitnessSearch {
  public:
   explicit WitnessSearch(size_t n)
-      : dist_(n, kInfiniteCost), stamp_(n, 0) {}
+      : dist_(n, kInfiniteCost), stamp_(n, 0), target_stamp_(n, 0),
+        slot_(n, 0) {}
 
-  Cost Run(const Overlay& overlay, NodeId source, NodeId target, NodeId excluded,
-           Cost limit) {
+  /// Searches from `source`, skipping `excluded`, for witnesses to the
+  /// targets `out` (the out-list of `excluded`, reached from `source` at
+  /// `to_excluded`). Afterwards witnessed(k) tells whether out[k] has one;
+  /// entries naming `source` or `excluded` are not targets and read as
+  /// witnessed.
+  void Run(const Overlay& overlay, NodeId source, NodeId excluded,
+           Cost to_excluded, const std::vector<OverlayEdge>& out) {
     ++now_;
     if (now_ == 0) {
       std::fill(stamp_.begin(), stamp_.end(), 0);
+      std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
       now_ = 1;
     }
+    witnessed_.assign(out.size(), 1);
+    via_.resize(out.size());
+    size_t pending = 0;
+    Cost limit = 0;
+    for (size_t k = 0; k < out.size(); ++k) {
+      const auto w = static_cast<size_t>(out[k].to);
+      if (out[k].to == excluded || out[k].to == source) continue;
+      via_[k] = to_excluded + out[k].cost;
+      limit = std::max(limit, via_[k]);
+      witnessed_[k] = 0;
+      target_stamp_[w] = now_;
+      slot_[w] = static_cast<uint32_t>(k);
+      ++pending;
+    }
+    if (pending == 0) return;
     while (!queue_.empty()) queue_.pop();
     Set(source, 0);
     queue_.push({0, source});
@@ -90,7 +120,6 @@ class WitnessSearch {
       auto [d, v] = queue_.top();
       queue_.pop();
       if (d > Get(v)) continue;
-      if (v == target) return d;
       if (d > limit) break;
       if (++settled > kWitnessSettleLimit) break;
       for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
@@ -99,11 +128,24 @@ class WitnessSearch {
         if (nd < Get(e.to) && nd <= limit) {
           Set(e.to, nd);
           queue_.push({nd, e.to});
+          const auto w = static_cast<size_t>(e.to);
+          if (target_stamp_[w] != now_) continue;
+          const uint32_t k = slot_[w];
+          if (witnessed_[k] == 0 && nd < via_[k]) {
+            witnessed_[k] = 1;
+            if (--pending == 0) return;
+            // Only the targets still pending bound the search now.
+            limit = 0;
+            for (size_t j = 0; j < out.size(); ++j) {
+              if (witnessed_[j] == 0) limit = std::max(limit, via_[j]);
+            }
+          }
         }
       }
     }
-    return Get(target);
   }
+
+  bool witnessed(size_t k) const { return witnessed_[k] != 0; }
 
  private:
   Cost Get(NodeId v) const {
@@ -117,6 +159,12 @@ class WitnessSearch {
 
   std::vector<Cost> dist_;
   std::vector<uint32_t> stamp_;
+  // Targets of the current run: target_stamp_[w] == now_ marks w, slot_[w]
+  // is its index in the out-list.
+  std::vector<uint32_t> target_stamp_;
+  std::vector<uint32_t> slot_;
+  std::vector<uint8_t> witnessed_;
+  std::vector<Cost> via_;
   uint32_t now_ = 0;
   using Entry = std::pair<Cost, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
@@ -129,8 +177,9 @@ struct Shortcut {
   NodeId middle = kInvalidNode;  // contracted node the shortcut skips
 };
 
-/// Enumerates the shortcuts contraction of `v` would require. When `apply`
-/// is null the caller only wants the count (priority computation).
+/// Enumerates the shortcuts contraction of `v` would require, in (u, w)
+/// order of its in- and out-lists. When `apply` is null the caller only
+/// wants the count (priority computation).
 ///
 /// A shortcut is dropped only when a STRICTLY cheaper witness exists.
 /// Sequential contraction could also drop it for an equally-cheap witness
@@ -143,17 +192,17 @@ struct Shortcut {
 int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness,
                         std::vector<Shortcut>* apply) {
   int shortcuts = 0;
+  const auto& out = overlay.out[static_cast<size_t>(v)];
   for (const auto& ein : overlay.in[static_cast<size_t>(v)]) {
     const NodeId u = ein.to;
     if (u == v) continue;
-    for (const auto& eout : overlay.out[static_cast<size_t>(v)]) {
-      const NodeId w = eout.to;
-      if (w == v || w == u) continue;
-      const Cost via = ein.cost + eout.cost;
-      // Witness path exists, no shortcut needed.
-      if (witness->Run(overlay, u, w, v, via) < via) continue;
+    witness->Run(overlay, u, v, ein.cost, out);
+    for (size_t k = 0; k < out.size(); ++k) {
+      if (witness->witnessed(k)) continue;
       ++shortcuts;
-      if (apply != nullptr) apply->push_back({u, w, via, v});
+      if (apply != nullptr) {
+        apply->push_back({u, out[k].to, ein.cost + out[k].cost, v});
+      }
     }
   }
   return shortcuts;

@@ -4,63 +4,6 @@
 
 namespace urr {
 
-DijkstraResult RunDijkstra(const RoadNetwork& network, NodeId source,
-                           const DijkstraOptions& options) {
-  const auto n = static_cast<size_t>(network.num_nodes());
-  DijkstraResult result;
-  result.dist.assign(n, kInfiniteCost);
-  result.parent.assign(n, kInvalidNode);
-  using Entry = std::pair<Cost, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  result.dist[static_cast<size_t>(source)] = 0;
-  queue.push({0, source});
-  while (!queue.empty()) {
-    auto [d, v] = queue.top();
-    queue.pop();
-    if (d > result.dist[static_cast<size_t>(v)]) continue;
-    if (d > options.radius) break;
-    auto heads =
-        options.reverse ? network.InNeighbors(v) : network.OutNeighbors(v);
-    auto costs = options.reverse ? network.InCosts(v) : network.OutCosts(v);
-    for (size_t i = 0; i < heads.size(); ++i) {
-      const Cost nd = d + costs[i];
-      if (nd < result.dist[static_cast<size_t>(heads[i])]) {
-        result.dist[static_cast<size_t>(heads[i])] = nd;
-        result.parent[static_cast<size_t>(heads[i])] = v;
-        queue.push({nd, heads[i]});
-      }
-    }
-  }
-  if (options.radius < kInfiniteCost) {
-    // Entries beyond the radius may hold tentative (non-final) labels;
-    // report them as unreachable for a clean bounded-search contract.
-    for (size_t i = 0; i < n; ++i) {
-      if (result.dist[i] > options.radius) {
-        result.dist[i] = kInfiniteCost;
-        result.parent[i] = kInvalidNode;
-      }
-    }
-  }
-  return result;
-}
-
-std::vector<NodeId> ReconstructPath(const DijkstraResult& result,
-                                    NodeId source, NodeId target) {
-  std::vector<NodeId> path;
-  if (target < 0 ||
-      static_cast<size_t>(target) >= result.dist.size() ||
-      result.dist[static_cast<size_t>(target)] == kInfiniteCost) {
-    return path;
-  }
-  for (NodeId v = target; v != kInvalidNode; v = result.parent[static_cast<size_t>(v)]) {
-    path.push_back(v);
-    if (v == source) break;
-  }
-  std::reverse(path.begin(), path.end());
-  if (path.empty() || path.front() != source) return {};
-  return path;
-}
-
 DijkstraEngine::DijkstraEngine(const RoadNetwork& network)
     : network_(network),
       dist_(static_cast<size_t>(network.num_nodes()), kInfiniteCost),

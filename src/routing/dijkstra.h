@@ -1,6 +1,7 @@
-// Dijkstra shortest paths on a RoadNetwork: one-to-all, cost-bounded, and
-// multi-target variants, plus a reusable engine that avoids per-query
-// reinitialization (timestamp trick).
+// Dijkstra shortest paths on a RoadNetwork: a reusable engine (timestamp
+// trick, no per-query reinitialization) with one-to-one, cost-bounded
+// multi-target and visitor-driven searches. DijkstraOracle wraps it as the
+// reference every distance oracle is tested against.
 #ifndef URR_ROUTING_DIJKSTRA_H_
 #define URR_ROUTING_DIJKSTRA_H_
 
@@ -10,29 +11,6 @@
 #include "graph/road_network.h"
 
 namespace urr {
-
-/// Dense one-to-all result.
-struct DijkstraResult {
-  std::vector<Cost> dist;      // kInfiniteCost when unreachable
-  std::vector<NodeId> parent;  // kInvalidNode for source/unreached
-};
-
-/// Options controlling a Dijkstra run.
-struct DijkstraOptions {
-  /// Search the reverse graph (distances *to* the source).
-  bool reverse = false;
-  /// Stop expanding once the settled distance exceeds this radius.
-  Cost radius = kInfiniteCost;
-};
-
-/// One-to-all (or radius-bounded) Dijkstra. O((V+E) log V).
-DijkstraResult RunDijkstra(const RoadNetwork& network, NodeId source,
-                           const DijkstraOptions& options = {});
-
-/// Reconstructs the node path source -> target from a forward Dijkstra
-/// result; empty when unreachable.
-std::vector<NodeId> ReconstructPath(const DijkstraResult& result,
-                                    NodeId source, NodeId target);
 
 /// Reusable Dijkstra engine bound to one network. Queries reuse internal
 /// arrays; not thread-safe (use one engine per thread).

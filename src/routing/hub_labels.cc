@@ -33,7 +33,7 @@ class HubLabelUpwardSearcher {
   /// order. Stalled nodes are recorded but not relaxed — pruning drops the
   /// dominated ones.
   void Run(const ContractionHierarchy& ch, NodeId src, bool backward,
-           std::vector<std::pair<NodeId, Cost>>* settled) {
+           std::vector<LabelEntry>* settled) {
     const auto& begin = backward ? ch.down_begin_ : ch.up_begin_;
     const auto& to = backward ? ch.down_to_ : ch.up_to_;
     const auto& cost = backward ? ch.down_cost_ : ch.up_cost_;
@@ -104,76 +104,128 @@ Result<HubLabels> HubLabels::Build(const ContractionHierarchy& ch,
   hl.bwd_begin_.assign(static_cast<size_t>(n) + 1, 0);
   if (n == 0) return hl;
 
-  // Top-down: the rank-(n-1) node first, so every non-self settled hub
-  // already carries its final label when we prune against it.
+  // Descending rank: every node comes after its upward neighbors. Sorted
+  // by ascending height below (stable, so descending rank within a level).
   std::vector<NodeId> order(static_cast<size_t>(n), kInvalidNode);
   for (NodeId v = 0; v < n; ++v) {
     order[static_cast<size_t>(n - 1 - ch.rank(v))] = v;
   }
 
+  // Height in the upward graph: 0 for a node with no upward neighbor in
+  // either direction, else 1 + the largest height among them. Every node of
+  // an upward search space but its source has a smaller height, so the
+  // labels of one height level depend only on those of earlier levels.
+  std::vector<int32_t> height(static_cast<size_t>(n), 0);
+  auto climb = [&height](const std::vector<int64_t>& begin,
+                         const std::vector<NodeId>& to, size_t v, int32_t h) {
+    for (int64_t i = begin[v]; i < begin[v + 1]; ++i) {
+      const auto up = static_cast<size_t>(to[static_cast<size_t>(i)]);
+      h = std::max(h, height[up] + 1);
+    }
+    return h;
+  };
+  for (const NodeId v : order) {
+    const auto vu = static_cast<size_t>(v);
+    height[vu] = climb(ch.down_begin_, ch.down_to_, vu,
+                       climb(ch.up_begin_, ch.up_to_, vu, 0));
+  }
+  std::stable_sort(order.begin(), order.end(), [&height](NodeId a, NodeId b) {
+    return height[static_cast<size_t>(a)] < height[static_cast<size_t>(b)];
+  });
+
   std::vector<std::vector<LabelEntry>> fwd(static_cast<size_t>(n));
   std::vector<std::vector<LabelEntry>> bwd(static_cast<size_t>(n));
 
+  // Per-worker scratch: the upward searcher, and the label being pruned as
+  // a dense hub -> cost array (infinite for hubs not in it), so each prune
+  // test is one scan of the opposite label.
+  struct Worker {
+    explicit Worker(NodeId n)
+        : search(n), label_cost(static_cast<size_t>(n), kInfiniteCost) {}
+    HubLabelUpwardSearcher search;
+    std::vector<Cost> label_cost;
+  };
   const int workers = pool != nullptr ? std::max(pool->num_threads(), 1) : 1;
-  std::vector<std::unique_ptr<HubLabelUpwardSearcher>> worker_search;
-  worker_search.reserve(static_cast<size_t>(workers));
+  std::vector<std::unique_ptr<Worker>> worker;
+  worker.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    worker_search.push_back(std::make_unique<HubLabelUpwardSearcher>(n));
+    worker.push_back(std::make_unique<Worker>(n));
   }
 
-  // Two-pass over fixed-size rank blocks: the searches (the dominant cost)
-  // are label-independent, so a whole block of them runs in parallel into
-  // per-index slots; the pruning pass then consumes the slots serially in
-  // the exact descending-rank, forward-then-backward order of the serial
-  // algorithm. The block size is a constant — never derived from the thread
-  // count — so the labels are bit-identical at any parallelism level.
-  //
-  // The label being pruned also lives in `label_cost` (hub -> cost, infinite
-  // for hubs not in it), so each prune test is one scan of the opposite
-  // label; the kept entries are sorted by hub once the label is complete.
-  constexpr int64_t kBlockNodes = 64;
-  std::vector<Cost> label_cost(static_cast<size_t>(n), kInfiniteCost);
-  std::vector<std::vector<std::pair<NodeId, Cost>>> slot(
-      static_cast<size_t>(kBlockNodes) * 2);
-  for (int64_t base = 0; base < n; base += kBlockNodes) {
-    const int64_t block = std::min<int64_t>(kBlockNodes, n - base);
-    ParallelFor(pool, block * 2, [&](int64_t k, int w) {
-      const NodeId v = order[static_cast<size_t>(base + k / 2)];
-      worker_search[static_cast<size_t>(w)]->Run(ch, v, /*backward=*/k % 2 == 1,
-                                                 &slot[static_cast<size_t>(k)]);
-    });
-    for (int64_t i = 0; i < block; ++i) {
-      const NodeId v = order[static_cast<size_t>(base + i)];
-      for (int side = 0; side < 2; ++side) {
-        const bool backward = side == 1;
-        const auto& settled = slot[static_cast<size_t>(i * 2 + side)];
-        auto& mine = backward ? bwd[static_cast<size_t>(v)]
-                              : fwd[static_cast<size_t>(v)];
-        const auto& opposite = backward ? fwd : bwd;
-        for (const auto& [h, d] : settled) {
-          // Prune when the labels kept so far already connect v and h at no
-          // greater cost through a higher hub: the minimum over their
-          // common hubs, read from the dense copy of v's label.
-          Cost best = kInfiniteCost;
-          for (const LabelEntry& e : opposite[static_cast<size_t>(h)]) {
-            const Cost c = label_cost[static_cast<size_t>(e.hub)];
-            if (c == kInfiniteCost) continue;
-            const Cost sum = c + e.cost;
-            if (sum < best) best = sum;
-          }
-          if (best <= d) continue;
-          label_cost[static_cast<size_t>(h)] = d;
-          mine.push_back({h, d});
-        }
-        for (const LabelEntry& e : mine) {
-          label_cost[static_cast<size_t>(e.hub)] = kInfiniteCost;
-        }
-        std::sort(mine.begin(), mine.end(),
-                  [](const LabelEntry& a, const LabelEntry& b) {
-                    return a.hub < b.hub;
-                  });
+  // Prunes one search space, in place, into a label: keeps each settled
+  // (h, d) unless the entries kept so far and the final opposite label of
+  // h already connect the source and h at no greater cost through a common
+  // hub.
+  auto prune = [](const std::vector<std::vector<LabelEntry>>& opposite,
+                  std::vector<Cost>* label_cost,
+                  std::vector<LabelEntry>* space) {
+    size_t kept = 0;
+    for (size_t j = 0; j < space->size(); ++j) {
+      const auto [h, d] = (*space)[j];
+      Cost best = kInfiniteCost;
+      for (const LabelEntry& e : opposite[static_cast<size_t>(h)]) {
+        const Cost c = (*label_cost)[static_cast<size_t>(e.hub)];
+        if (c == kInfiniteCost) continue;
+        const Cost sum = c + e.cost;
+        if (sum < best) best = sum;
+      }
+      if (best <= d) continue;
+      (*label_cost)[static_cast<size_t>(h)] = d;
+      (*space)[kept++] = {h, d};
+    }
+    space->resize(kept);
+    for (const LabelEntry& e : *space) {
+      (*label_cost)[static_cast<size_t>(e.hub)] = kInfiniteCost;
+    }
+    std::sort(space->begin(), space->end(),
+              [](const LabelEntry& a, const LabelEntry& b) {
+                return a.hub < b.hub;
+              });
+  };
+
+  // Levels in ascending height, each in fixed-size chunks. A chunk runs all
+  // its searches (forward and backward per node), then prunes each search
+  // space in its slot: back-to-back searches, then back-to-back prunes,
+  // keep each phase's data in cache (search-then-prune per node was 10-20%
+  // slower serially on nyc 10k and 40k). A prune reads only labels already
+  // in the store. Every hub it settles but the source has a smaller height,
+  // so that label is final; the source's own opposite label is not stored
+  // yet, and the self entry (settled first, while nothing is kept) is kept
+  // whatever that label holds, as in a serial descending-rank pass. Only
+  // the calling thread copies the slots into the store, so label vectors
+  // are allocated there (grown on workers, they cost memory in per-thread
+  // malloc arenas). The chunk size is a constant, never derived from the
+  // thread count, and each label is a pure function of the hierarchy: the
+  // labels are bit-identical at any thread count.
+  constexpr size_t kChunkNodes = 64;
+  std::vector<std::vector<LabelEntry>> slot(2 * kChunkNodes);
+  for (size_t level = 0; level < order.size();) {
+    const int32_t h = height[static_cast<size_t>(order[level])];
+    size_t level_end = level;
+    while (level_end < order.size() &&
+           height[static_cast<size_t>(order[level_end])] == h) {
+      ++level_end;
+    }
+    for (size_t base = level; base < level_end; base += kChunkNodes) {
+      // Slot 2i is node base+i forward, 2i+1 backward.
+      const auto slots = static_cast<int64_t>(
+          2 * std::min(kChunkNodes, level_end - base));
+      ParallelFor(pool, slots, [&](int64_t k, int w) {
+        const auto i = static_cast<size_t>(k);
+        worker[static_cast<size_t>(w)]->search.Run(
+            ch, order[base + i / 2], /*backward=*/i % 2 == 1, &slot[i]);
+      });
+      ParallelFor(pool, slots, [&](int64_t k, int w) {
+        const auto i = static_cast<size_t>(k);
+        prune(i % 2 == 1 ? fwd : bwd,
+              &worker[static_cast<size_t>(w)]->label_cost, &slot[i]);
+      });
+      for (size_t i = 0; i < static_cast<size_t>(slots); ++i) {
+        const auto v = static_cast<size_t>(order[base + i / 2]);
+        (i % 2 == 1 ? bwd : fwd)[v] = slot[i];
       }
     }
+    level = level_end;
   }
 
   // Flatten to CSR.

@@ -27,15 +27,16 @@ class HubLabels {
   HubLabels() = default;
 
   /// Extracts labels from a built hierarchy: for each node, one complete
-  /// upward search per direction (relax plus stall-on-demand), processed in
-  /// descending rank order so entries dominated via an already-labeled
-  /// higher hub are pruned exactly.
+  /// upward search per direction (relax plus stall-on-demand), pruned
+  /// against the final labels of the hubs it settles, so entries dominated
+  /// via a higher hub are dropped exactly.
   ///
-  /// With a pool, the searches — the dominant cost — run in parallel over
-  /// fixed-size rank blocks while the pruning pass stays serial in
-  /// descending rank order. Each search is a pure function of the (frozen)
-  /// hierarchy and the block size does not depend on the thread count, so
-  /// the labels are bit-identical to the serial build at any thread count.
+  /// Nodes are labeled level by level in their upward-graph height (0 with
+  /// no upward neighbor, else 1 + the largest height among them).
+  /// Nodes of one level never appear in each other's search spaces, so with
+  /// a pool each level's nodes are searched and pruned in parallel. Every
+  /// label is a pure function of the hierarchy, so the labels are
+  /// bit-identical at any thread count.
   static Result<HubLabels> Build(const ContractionHierarchy& ch,
                                  ThreadPool* pool = nullptr);
 

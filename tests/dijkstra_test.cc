@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 
@@ -13,53 +15,64 @@ RoadNetwork Line() {
   return *RoadNetwork::Build(4, {{0, 1, 1}, {1, 2, 2}, {2, 3, 3}});
 }
 
+/// Test-local Bellman-Ford: one-to-all distances by relaxing every edge
+/// until nothing improves, independent of any priority-queue search.
+std::vector<Cost> BellmanFord(const RoadNetwork& g, NodeId source) {
+  std::vector<Cost> dist(static_cast<size_t>(g.num_nodes()), kInfiniteCost);
+  dist[static_cast<size_t>(source)] = 0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const Cost dv = dist[static_cast<size_t>(v)];
+      if (dv == kInfiniteCost) continue;
+      auto heads = g.OutNeighbors(v);
+      auto costs = g.OutCosts(v);
+      for (size_t i = 0; i < heads.size(); ++i) {
+        if (dv + costs[i] < dist[static_cast<size_t>(heads[i])]) {
+          dist[static_cast<size_t>(heads[i])] = dv + costs[i];
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
 TEST(DijkstraTest, OneToAllDistances) {
   RoadNetwork g = Line();
-  auto r = RunDijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(r.dist[0], 0);
-  EXPECT_DOUBLE_EQ(r.dist[1], 1);
-  EXPECT_DOUBLE_EQ(r.dist[2], 3);
-  EXPECT_DOUBLE_EQ(r.dist[3], 6);
+  DijkstraEngine engine(g);
+  const std::vector<Cost> d = engine.Distances(0, {0, 1, 2, 3});
+  EXPECT_DOUBLE_EQ(d[0], 0);
+  EXPECT_DOUBLE_EQ(d[1], 1);
+  EXPECT_DOUBLE_EQ(d[2], 3);
+  EXPECT_DOUBLE_EQ(d[3], 6);
 }
 
 TEST(DijkstraTest, UnreachableIsInfinite) {
   RoadNetwork g = Line();
-  auto r = RunDijkstra(g, 3);  // one-way: nothing reachable from 3
-  EXPECT_DOUBLE_EQ(r.dist[3], 0);
-  EXPECT_EQ(r.dist[0], kInfiniteCost);
+  DijkstraEngine engine(g);
+  // One way: nothing but 3 itself is reachable from 3.
+  const std::vector<Cost> d = engine.Distances(3, {3, 0});
+  EXPECT_DOUBLE_EQ(d[0], 0);
+  EXPECT_EQ(d[1], kInfiniteCost);
 }
 
 TEST(DijkstraTest, ReverseSearchUsesInEdges) {
   RoadNetwork g = Line();
-  DijkstraOptions opt;
-  opt.reverse = true;
-  auto r = RunDijkstra(g, 3, opt);  // distances TO 3
-  EXPECT_DOUBLE_EQ(r.dist[0], 6);
-  EXPECT_DOUBLE_EQ(r.dist[2], 3);
+  DijkstraEngine engine(g);
+  std::vector<Cost> to3(4, kInfiniteCost);  // distances TO 3
+  engine.Explore(3, kInfiniteCost, /*reverse=*/true,
+                 [&](NodeId v, Cost d) { to3[static_cast<size_t>(v)] = d; });
+  EXPECT_DOUBLE_EQ(to3[0], 6);
+  EXPECT_DOUBLE_EQ(to3[2], 3);
 }
 
 TEST(DijkstraTest, RadiusBoundsSearch) {
   RoadNetwork g = Line();
-  DijkstraOptions opt;
-  opt.radius = 3;
-  auto r = RunDijkstra(g, 0, opt);
-  EXPECT_DOUBLE_EQ(r.dist[2], 3);
-  EXPECT_EQ(r.dist[3], kInfiniteCost);  // beyond radius reported unreachable
-}
-
-TEST(DijkstraTest, PathReconstruction) {
-  RoadNetwork g = *RoadNetwork::Build(
-      4, {{0, 1, 1}, {1, 3, 5}, {0, 2, 2}, {2, 3, 2}});
-  auto r = RunDijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(r.dist[3], 4);
-  EXPECT_EQ(ReconstructPath(r, 0, 3), (std::vector<NodeId>{0, 2, 3}));
-  EXPECT_EQ(ReconstructPath(r, 0, 0), (std::vector<NodeId>{0}));
-}
-
-TEST(DijkstraTest, PathToUnreachableIsEmpty) {
-  RoadNetwork g = Line();
-  auto r = RunDijkstra(g, 3);
-  EXPECT_TRUE(ReconstructPath(r, 3, 0).empty());
+  DijkstraEngine engine(g);
+  const std::vector<Cost> d = engine.Distances(0, {2, 3}, /*radius=*/3);
+  EXPECT_DOUBLE_EQ(d[0], 3);
+  EXPECT_EQ(d[1], kInfiniteCost);  // beyond the radius reads unreachable
 }
 
 TEST(DijkstraEngineTest, PointToPointMatchesOneToAll) {
@@ -70,9 +83,9 @@ TEST(DijkstraEngineTest, PointToPointMatchesOneToAll) {
   auto g = GenerateGridCity(opt, &rng);
   ASSERT_TRUE(g.ok());
   DijkstraEngine engine(*g);
-  auto full = RunDijkstra(*g, 0);
+  const std::vector<Cost> full = BellmanFord(*g, 0);
   for (NodeId t = 0; t < g->num_nodes(); t += 13) {
-    EXPECT_DOUBLE_EQ(engine.Distance(0, t), full.dist[static_cast<size_t>(t)]);
+    EXPECT_DOUBLE_EQ(engine.Distance(0, t), full[static_cast<size_t>(t)]);
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/harness.h"
 
@@ -198,6 +201,30 @@ TEST(EngineTest, ZeroWindowLogIsIdenticalAcrossThreadCounts) {
   }
 }
 
+// At W = 0 each arrival is evaluated once, so the cross-window eval cache
+// is not attached: the run does no cache lookups, and its log is the log of
+// a run with the cache switched off.
+TEST(EngineTest, ZeroWindowSkipsTheEvalCache) {
+  auto world = SmallWorld();
+  const StreamingWorkload workload = MakeWorkload(*world, 1.0);
+  std::string cached_log;
+  for (const bool use_cache : {true, false}) {
+    EngineConfig cfg;
+    cfg.window = 0;
+    cfg.use_eval_cache = use_cache;
+    EngineRun run(world.get(), &workload, cfg);
+    ASSERT_TRUE(run.engine.Run().ok());
+    const EngineMetrics& m = run.engine.metrics();
+    EXPECT_EQ(m.eval_cache_hits + m.eval_cache_misses, 0);
+    if (use_cache) {
+      EXPECT_GT(m.total_accepted, 0);
+      cached_log = run.engine.SerializedLog();
+    } else {
+      EXPECT_EQ(run.engine.SerializedLog(), cached_log);
+    }
+  }
+}
+
 TEST(EngineTest, QueuedRidersExpireAtTheirPickupDeadline) {
   auto world = SmallWorld();
   StreamingWorkload workload = MakeWorkload(*world);
@@ -350,6 +377,70 @@ TEST(EngineTest, MetricsJsonCarriesTheCounters) {
   }
   const std::string flat = EngineMetricsJson(run.engine.metrics(), false);
   EXPECT_EQ(flat.find("\"windows\""), std::string::npos);
+}
+
+// Replaces whitespace-separated token `index` of the first checkpoint line
+// starting with `tag` (`line_offset` lines below it) by `value`.
+std::string ReplaceToken(const std::string& checkpoint, const std::string& tag,
+                         int line_offset, size_t index,
+                         const std::string& value) {
+  std::istringstream in(checkpoint);
+  std::string out, line;
+  int target = -1;
+  for (int k = 0; std::getline(in, line); ++k) {
+    if (target < 0 && line.rfind(tag + " ", 0) == 0) target = k + line_offset;
+    if (k == target) {
+      std::istringstream fields(line);
+      std::vector<std::string> tokens;
+      for (std::string t; fields >> t;) tokens.push_back(t);
+      EXPECT_LT(index, tokens.size()) << line;
+      if (index < tokens.size()) tokens[index] = value;
+      line.clear();
+      for (size_t t = 0; t < tokens.size(); ++t) {
+        line += (t == 0 ? "" : " ") + tokens[t];
+      }
+    }
+    out += line + "\n";
+  }
+  EXPECT_GE(target, 0) << "no '" << tag << "' line";
+  return out;
+}
+
+// A hostile checkpoint must fail Restore with a Status, before any id
+// indexes anything: a rider destination far outside the network used to
+// crash, and a pending-input counter that disagrees with the queue used to
+// keep the boundary chain alive until memory ran out.
+TEST(EngineTest, RestoreRejectsOutOfRangeIdsAndCounters) {
+  auto world = SmallWorld();
+  const StreamingWorkload workload = MakeWorkload(*world, 1.0);
+  EngineConfig cfg;
+  cfg.window = 20;
+  cfg.checkpoint_every = 1;
+  std::string checkpoint;
+  {
+    EngineRun run(world.get(), &workload, cfg);
+    ASSERT_TRUE(run.engine.Run().ok());
+    const auto& checkpoints = run.engine.checkpoints();
+    ASSERT_GE(checkpoints.size(), 2u);
+    checkpoint = checkpoints[checkpoints.size() / 2].second;
+  }
+  {
+    EngineRun resumed(world.get(), &workload, cfg);
+    ASSERT_TRUE(resumed.engine.Restore(checkpoint).ok());
+  }
+  const std::string hostile[] = {
+      ReplaceToken(checkpoint, "riders", 1, 1, "999999"),  // destination
+      ReplaceToken(checkpoint, "riders", 1, 0, "-1"),      // source
+      ReplaceToken(checkpoint, "vehicles", 1, 0, "999999"),
+      ReplaceToken(checkpoint, "seq", 0, 2, "2147483647"),  // pending inputs
+      ReplaceToken(checkpoint, "seq", 0, 2, "0"),
+      ReplaceToken(checkpoint, "assignment", 0, 1, "999999"),
+  };
+  for (const std::string& bad : hostile) {
+    ASSERT_NE(bad, checkpoint);
+    EngineRun resumed(world.get(), &workload, cfg);
+    EXPECT_FALSE(resumed.engine.Restore(bad).ok());
+  }
 }
 
 }  // namespace

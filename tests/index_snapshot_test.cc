@@ -225,6 +225,45 @@ TEST(IndexSnapshotGoldenTest, CityScaleBytesArePinned) {
   }
 }
 
+// More pinned .urrx encodings, one per network shape the contraction and
+// label code treats differently: a Chicago-like city (long arterials), a
+// grid with jittered (non-quantized) costs, and a grid whose costs are
+// snapped to multiples of 16 so that nearly every witness search and label
+// prune meets exact ties. Each is built at 1, 3 and 4 threads; an odd
+// thread count splits work unevenly and exposes chunking bugs.
+TEST(IndexSnapshotGoldenTest, MoreNetworkShapesArePinned) {
+  struct Pin {
+    const char* name;
+    RoadNetwork net;
+    uint64_t fnv;
+  };
+  Rng rng(20170512);
+  auto chicago = GenerateChicagoLike(1500, &rng);
+  ASSERT_TRUE(chicago.ok()) << chicago.status();
+  const RoadNetwork grid = SmallCity(20170512, 40, 30);
+  std::vector<Edge> tied_edges = grid.EdgeList();
+  for (Edge& e : tied_edges) {
+    e.cost = std::max(1.0, std::round(e.cost / 16.0)) * 16.0;
+  }
+  auto tied = RoadNetwork::Build(grid.num_nodes(), std::move(tied_edges),
+                                 grid.coords());
+  ASSERT_TRUE(tied.ok()) << tied.status();
+  const Pin pins[] = {
+      {"chicago 1500", *std::move(chicago), 0xdb926585f2ebaa4fULL},
+      {"grid 40x30", grid, 0xb95700acce4e975aULL},
+      {"tied grid 40x30", *std::move(tied), 0x16883b06d4390f0dULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const int threads : {1, 3, 4}) {
+      const std::string bytes =
+          SerializeIndexSnapshot(BuildSnap(pin.net, threads));
+      EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), pin.fnv)
+          << pin.name << ": index bytes changed at " << threads
+          << " threads";
+    }
+  }
+}
+
 TEST(IndexSnapshotGoldenTest, FixtureOraclesAgreeBitwise) {
   auto parsed = ParseIndexSnapshot(ReadFileBytes(GoldenPath()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
