@@ -17,7 +17,6 @@
 #include "routing/hub_labels.h"
 #include "routing/index_snapshot.h"
 #include "sched/insertion.h"
-#include "sched/kinetic_tree.h"
 #include "cover/kspc.h"
 #include "social/generators.h"
 #include "urr/solution.h"
@@ -100,27 +99,6 @@ void BM_FindBestInsertion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FindBestInsertion)->Arg(4)->Arg(8)->Arg(16);
-
-/// Kinetic-tree maintenance ([20]): cost of keeping every valid ordering
-/// while riders accumulate, versus Algorithm 1's single-sequence insert.
-void BM_KineticTreeInsert(benchmark::State& state) {
-  MicroWorld& w = World();
-  const int committed = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    KineticTree tree(w.RandomNode(), 0, 4, w.hl.get());
-    int placed = 0;
-    for (int r = 0; placed < committed && r < committed * 6; ++r) {
-      RiderTrip trip{r, w.RandomNode(), w.RandomNode(), 1e7, 1e8};
-      if (trip.source == trip.destination) continue;
-      if (tree.Insert(trip, 200000).ok()) ++placed;
-    }
-    RiderTrip probe{999, w.RandomNode(), w.RandomNode(), 1e7, 1e8};
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(tree.Insert(probe, 200000));
-  }
-}
-BENCHMARK(BM_KineticTreeInsert)->Arg(2)->Arg(4);
 
 void BM_ScheduleUtility(benchmark::State& state) {
   MicroWorld& w = World();

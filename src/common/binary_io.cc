@@ -17,15 +17,24 @@ uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
 }
 
 Status WriteFile(const std::string& path, std::string_view content) {
+  return WriteFile(path, std::span<const std::string_view>(&content, 1));
+}
+
+Status WriteFile(const std::string& path,
+                 std::span<const std::string_view> pieces) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot open '" + path +
                            "' for writing: " + std::strerror(errno));
   }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
+  bool written = true;
+  for (const std::string_view piece : pieces) {
+    written = written &&
+              std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+  }
   const bool flushed = std::fflush(f) == 0;
   const bool closed = std::fclose(f) == 0;
-  if (written != content.size() || !flushed || !closed) {
+  if (!written || !flushed || !closed) {
     return Status::IOError("short write to '" + path + "'");
   }
   return Status::OK();

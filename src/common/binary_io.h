@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -32,6 +33,11 @@ uint64_t Fnv1a64(const void* data, size_t size,
 /// the flush and the close, so a full disk or a failing device is an
 /// IOError rather than a silently truncated file.
 Status WriteFile(const std::string& path, std::string_view content);
+
+/// Writes the concatenation of `pieces` to `path`, with the same checks,
+/// without first copying them into one buffer.
+Status WriteFile(const std::string& path,
+                 std::span<const std::string_view> pieces);
 
 /// Reads the whole file at `path`. NotFound when it does not exist; IOError
 /// when it cannot be opened or a read fails (a directory is an IOError, not

@@ -196,41 +196,4 @@ bool VerifyKspc(const RoadNetwork& network, const std::vector<NodeId>& cover,
   return true;
 }
 
-Result<std::vector<NodeId>> KShortestPathCoverSampling(
-    const RoadNetwork& network, const KspcOptions& options, Rng* rng) {
-  if (options.k < 2) {
-    return Status::InvalidArgument("k must be >= 2");
-  }
-  const NodeId n = network.num_nodes();
-  std::vector<bool> covered(static_cast<size_t>(n), false);
-  DijkstraEngine engine(network);
-
-  // Randomized start order: witnesses found early cover hot regions first.
-  std::vector<NodeId> order(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v) order[static_cast<size_t>(v)] = v;
-  rng->Shuffle(&order);
-
-  // Sweep until a full pass produces no witness. Adding the middle vertex
-  // of each witness hits the most chains through that neighbourhood.
-  bool found_any = true;
-  while (found_any) {
-    found_any = false;
-    for (NodeId s : order) {
-      if (covered[static_cast<size_t>(s)]) continue;
-      while (true) {
-        const std::vector<NodeId> witness =
-            FindWitnessFrom(network, covered, &engine, s, options.k);
-        if (witness.empty()) break;
-        covered[static_cast<size_t>(witness[witness.size() / 2])] = true;
-        found_any = true;
-      }
-    }
-  }
-  std::vector<NodeId> cover;
-  for (NodeId v = 0; v < n; ++v) {
-    if (covered[static_cast<size_t>(v)]) cover.push_back(v);
-  }
-  return cover;
-}
-
 }  // namespace urr

@@ -35,15 +35,6 @@ Result<std::vector<NodeId>> KShortestPathCover(const RoadNetwork& network,
                                                const KspcOptions& options,
                                                Rng* rng);
 
-/// Alternative construction in the spirit of the sampling approach of Tao
-/// et al. [32] that Funke et al. compare against: grow the cover greedily
-/// from witnesses — repeatedly find an uncovered shortest path with k
-/// vertices and add its middle vertex — until no witness remains. Exact
-/// (the result is always a valid k-SPC) but typically larger and slower
-/// than the pruning construction; kept for the cover ablation.
-Result<std::vector<NodeId>> KShortestPathCoverSampling(
-    const RoadNetwork& network, const KspcOptions& options, Rng* rng);
-
 /// Exhaustive verifier for tests (small graphs only): true iff no shortest
 /// path with exactly `k` vertices avoids `cover`.
 bool VerifyKspc(const RoadNetwork& network, const std::vector<NodeId>& cover,

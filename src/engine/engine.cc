@@ -22,6 +22,18 @@ std::vector<NodeId> VehicleLocations(const UrrInstance& instance) {
   return locations;
 }
 
+/// Live edge faults name both endpoints; the overlay indexes the network's
+/// adjacency with them, so they must be nodes of `network`. NotFound, so
+/// the dispatch service answers 404 as for other unknown ids.
+Status CheckEdgeEndpoints(const RoadNetwork& network, NodeId a, NodeId b) {
+  for (const NodeId v : {a, b}) {
+    if (v < 0 || v >= network.num_nodes()) {
+      return Status::NotFound("unknown node " + std::to_string(v));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* WindowSolverName(WindowSolver solver) {
@@ -437,12 +449,13 @@ Status DispatchEngine::InjectBreakdownLive(int vehicle, Cost time) {
 Status DispatchEngine::InjectEdgeFaultLive(NodeId a, NodeId b, double factor,
                                            Cost time) {
   URR_RETURN_NOT_OK(CheckLiveInjection(time));
+  URR_RETURN_NOT_OK(CheckEdgeEndpoints(*instance_.network, a, b));
   if (disruption_state_ == nullptr) {
     return Status::InvalidArgument(
         "edge-fault injection needs the disruption overlay: construct the "
         "engine with config.arm_overlay");
   }
-  if (factor < 1.0) {
+  if (!(factor >= 1.0)) {  // also rejects NaN; kInfiniteCost closes the edge
     return Status::InvalidArgument("edge-fault factor must be >= 1");
   }
   Pending p;
@@ -459,6 +472,7 @@ Status DispatchEngine::InjectEdgeFaultLive(NodeId a, NodeId b, double factor,
 
 Status DispatchEngine::InjectEdgeRestoreLive(NodeId a, NodeId b, Cost time) {
   URR_RETURN_NOT_OK(CheckLiveInjection(time));
+  URR_RETURN_NOT_OK(CheckEdgeEndpoints(*instance_.network, a, b));
   if (disruption_state_ == nullptr) {
     return Status::InvalidArgument(
         "edge-fault injection needs the disruption overlay: construct the "

@@ -166,7 +166,9 @@ class DispatchEngine {
 
   /// Admin fault injection (breakdown storms, road closures). Edge faults
   /// require the overlay: construct the engine with config.arm_overlay (or
-  /// a workload that already carries edge faults).
+  /// a workload that already carries edge faults). An edge endpoint that is
+  /// not a node of the network is NotFound; an edge-fault factor must be
+  /// >= 1, kInfiniteCost closing the edge.
   Status InjectBreakdownLive(int vehicle, Cost time);
   Status InjectEdgeFaultLive(NodeId a, NodeId b, double factor, Cost time);
   Status InjectEdgeRestoreLive(NodeId a, NodeId b, Cost time);

@@ -111,18 +111,4 @@ Result<RoadNetwork> LoadDimacsFiles(const std::string& gr_path,
   return ParseDimacs(gr, co);
 }
 
-std::string ToDimacsGr(const RoadNetwork& network, const std::string& comment) {
-  std::ostringstream out;
-  out << "c " << comment << "\n";
-  out << "p sp " << network.num_nodes() << " " << network.num_edges() << "\n";
-  for (NodeId v = 0; v < network.num_nodes(); ++v) {
-    auto heads = network.OutNeighbors(v);
-    auto costs = network.OutCosts(v);
-    for (size_t i = 0; i < heads.size(); ++i) {
-      out << "a " << (v + 1) << " " << (heads[i] + 1) << " " << costs[i] << "\n";
-    }
-  }
-  return out.str();
-}
-
 }  // namespace urr

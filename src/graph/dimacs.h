@@ -22,11 +22,6 @@ Result<RoadNetwork> ParseDimacs(const std::string& gr_text,
 Result<RoadNetwork> LoadDimacsFiles(const std::string& gr_path,
                                     const std::string& co_path = "");
 
-/// Serializes a network to DIMACS `.gr` text (for round-trip tests and for
-/// exporting generated networks).
-std::string ToDimacsGr(const RoadNetwork& network,
-                       const std::string& comment = "urr export");
-
 }  // namespace urr
 
 #endif  // URR_GRAPH_DIMACS_H_

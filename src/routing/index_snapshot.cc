@@ -236,48 +236,77 @@ Result<IndexSnapshot> BuildIndexSnapshot(const RoadNetwork& network,
   return snapshot;
 }
 
-std::string SerializeIndexSnapshot(const IndexSnapshot& snapshot) {
-  struct Payload {
-    uint32_t id;
-    std::string bytes;
-  };
-  Payload payloads[3];
+namespace {
+
+/// .urrx bytes in pieces: the header with its section table, then each
+/// section payload followed by its zero padding to 8 bytes. Joined they are
+/// the file; SaveIndexSnapshot writes them without joining them first.
+struct EncodedSnapshot {
+  std::string header;
+  std::string payloads[3];
+
+  std::vector<std::string_view> Pieces() const {
+    static constexpr char kZeros[8] = {};
+    std::vector<std::string_view> pieces = {header};
+    for (const std::string& p : payloads) {
+      pieces.push_back(p);
+      pieces.push_back(std::string_view(kZeros, AlignUp8(p.size()) - p.size()));
+    }
+    return pieces;
+  }
+};
+
+EncodedSnapshot EncodeSnapshot(const IndexSnapshot& snapshot) {
+  constexpr uint32_t kIds[3] = {kSnapshotSectionGraph, kSnapshotSectionCh,
+                                kSnapshotSectionHubLabels};
+  EncodedSnapshot encoded;
   {
     BinaryWriter w;
     snapshot.network.Serialize(&w);
-    payloads[0] = {kSnapshotSectionGraph, w.TakeBuffer()};
+    encoded.payloads[0] = w.TakeBuffer();
   }
   {
     BinaryWriter w;
     snapshot.ch.Serialize(&w);
-    payloads[1] = {kSnapshotSectionCh, w.TakeBuffer()};
+    encoded.payloads[1] = w.TakeBuffer();
   }
   {
     BinaryWriter w;
     snapshot.hub_labels.Serialize(&w);
-    payloads[2] = {kSnapshotSectionHubLabels, w.TakeBuffer()};
+    encoded.payloads[2] = w.TakeBuffer();
   }
 
-  BinaryWriter out;
-  out.WriteBytes(kMagic, 4);
-  out.WriteU32(kIndexSnapshotVersion);
-  out.WriteU32(3);
-  out.WriteU32(0);  // flags
+  BinaryWriter header;
+  header.WriteBytes(kMagic, 4);
+  header.WriteU32(kIndexSnapshotVersion);
+  header.WriteU32(3);
+  header.WriteU32(0);  // flags
   uint64_t offset = AlignUp8(kHeaderSize + 3 * kTableEntrySize);
-  for (const Payload& p : payloads) {
-    out.WriteU32(p.id);
-    out.WriteU32(0);  // reserved
-    out.WriteU64(offset);
-    out.WriteU64(p.bytes.size());
-    out.WriteU64(Fnv1a64(p.bytes.data(), p.bytes.size()));
-    offset = AlignUp8(static_cast<size_t>(offset) + p.bytes.size());
+  for (int i = 0; i < 3; ++i) {
+    const std::string& p = encoded.payloads[i];
+    header.WriteU32(kIds[i]);
+    header.WriteU32(0);  // reserved
+    header.WriteU64(offset);
+    header.WriteU64(p.size());
+    header.WriteU64(Fnv1a64(p.data(), p.size()));
+    offset = AlignUp8(static_cast<size_t>(offset) + p.size());
   }
-  for (const Payload& p : payloads) {
-    out.AlignTo(8);
-    out.WriteBytes(p.bytes.data(), p.bytes.size());
-  }
-  out.AlignTo(8);
-  return out.TakeBuffer();
+  header.AlignTo(8);
+  encoded.header = header.TakeBuffer();
+  return encoded;
+}
+
+}  // namespace
+
+std::string SerializeIndexSnapshot(const IndexSnapshot& snapshot) {
+  const EncodedSnapshot encoded = EncodeSnapshot(snapshot);
+  const std::vector<std::string_view> pieces = encoded.Pieces();
+  size_t size = 0;
+  for (const std::string_view piece : pieces) size += piece.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view piece : pieces) out.append(piece);
+  return out;
 }
 
 Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes) {
@@ -330,9 +359,9 @@ Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes) {
 
 Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
                          const std::string& path) {
-  const std::string bytes = SerializeIndexSnapshot(snapshot);
+  const EncodedSnapshot encoded = EncodeSnapshot(snapshot);
   const std::string tmp = path + ".tmp";
-  if (Status written = WriteFile(tmp, bytes); !written.ok()) {
+  if (Status written = WriteFile(tmp, encoded.Pieces()); !written.ok()) {
     std::remove(tmp.c_str());
     return written;
   }
@@ -358,10 +387,6 @@ Result<uint64_t> IndexSnapshotFileChecksum(const std::string& path) {
   URR_ASSIGN_OR_RETURN(FileBytes file, FileBytes::Open(path));
   const std::string_view v = file.view();
   return Fnv1a64(v.data(), v.size());
-}
-
-Status VerifyIndexSnapshotFile(const std::string& path) {
-  return LoadIndexSnapshot(path).status();
 }
 
 }  // namespace urr

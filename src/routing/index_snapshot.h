@@ -74,6 +74,8 @@ std::string SerializeIndexSnapshot(const IndexSnapshot& snapshot);
 Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes);
 
 /// Serializes and writes atomically-ish (write to `path` + ".tmp", rename).
+/// The header and section payloads are written in turn, never joined into
+/// one buffer, so the process holds one copy of the encoding.
 Status SaveIndexSnapshot(const IndexSnapshot& snapshot,
                          const std::string& path);
 
@@ -83,10 +85,6 @@ Result<IndexSnapshot> LoadIndexSnapshot(const std::string& path);
 /// FNV-1a 64 over the entire file; the provenance hash engine checkpoints
 /// record so a restore can detect a swapped index.
 Result<uint64_t> IndexSnapshotFileChecksum(const std::string& path);
-
-/// Full load-path validation of `path` without keeping the result. OK means
-/// LoadIndexSnapshot would succeed.
-Status VerifyIndexSnapshotFile(const std::string& path);
 
 }  // namespace urr
 

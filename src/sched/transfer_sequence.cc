@@ -295,22 +295,6 @@ std::vector<ExecutedStop> TransferSequence::AdvanceTo(
   return done;
 }
 
-RoutePosition TransferSequence::PositionAt(Cost t) const {
-  RoutePosition pos;
-  pos.at = start_;
-  pos.depart_time = now_;
-  for (int u = 0; u < num_stops(); ++u) {
-    if (arrival_[static_cast<size_t>(u)] > t) {
-      pos.next_stop = u;
-      pos.next_arrival = arrival_[static_cast<size_t>(u)];
-      return pos;
-    }
-    pos.at = stops_[static_cast<size_t>(u)].location;
-    pos.depart_time = arrival_[static_cast<size_t>(u)];
-  }
-  return pos;  // past the last stop: idle
-}
-
 Status TransferSequence::ExciseRider(RiderId rider) {
   const auto [p, q] = RiderStops(rider);
   if (p == -1 && q != -1) {

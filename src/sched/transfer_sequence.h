@@ -42,16 +42,6 @@ struct ExecutedStop {
   bool no_show = false;
 };
 
-/// Where a vehicle is along its committed route at a queried time: the node
-/// it last completed (or waits at) and, when en route, the stop it is
-/// heading to. `next_stop == -1` means the vehicle is idle at `at`.
-struct RoutePosition {
-  NodeId at = kInvalidNode;
-  Cost depart_time = 0;
-  int next_stop = -1;
-  Cost next_arrival = 0;
-};
-
 /// Read-only, zero-copy view of a schedule's flat arrays. The insertion
 /// kernel and the utility model consume this instead of a TransferSequence
 /// so that trial schedules can be represented as scratch arrays without
@@ -209,10 +199,6 @@ class TransferSequence {
   std::vector<ExecutedStop> AdvanceTo(Cost t);
   std::vector<ExecutedStop> AdvanceTo(Cost t,
                                       const std::vector<bool>* no_show);
-
-  /// Pure query: the vehicle's position along the committed route at `t`
-  /// (assuming earliest departures). Does not mutate the schedule.
-  RoutePosition PositionAt(Cost t) const;
 
   /// Cancellation repair: removes a not-yet-picked-up rider's stops. When the
   /// vehicle is already mid-leg towards the rider's pickup, that leg is

@@ -1,6 +1,9 @@
 #include "server/protocol.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "common/json_writer.h"
 
@@ -47,6 +50,21 @@ bool ParseOp(std::string_view name, RequestOp* op) {
   return true;
 }
 
+/// Reads an id field (rider, vehicle, node): a JSON number that is finite,
+/// integral and within int32. 3.7 or 1e300 would otherwise be truncated or
+/// cast out of range.
+bool ParseId(const JsonValue* v, int32_t* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  const double x = v->as_number();
+  if (!(x >= std::numeric_limits<int32_t>::min() &&
+        x <= std::numeric_limits<int32_t>::max()) ||
+      x != std::trunc(x)) {
+    return false;  // NaN fails the range test
+  }
+  *out = static_cast<int32_t>(x);
+  return true;
+}
+
 }  // namespace
 
 Result<Request> ParseRequest(std::string_view payload) {
@@ -75,34 +93,26 @@ Result<Request> ParseRequest(std::string_view payload) {
     case RequestOp::kSubmitRider:
     case RequestOp::kCancelRider:
     case RequestOp::kQueryStatus: {
-      const JsonValue* r = doc.Find("rider");
-      if (r == nullptr || !r->is_number()) {
+      if (!ParseId(doc.Find("rider"), &req.rider)) {
         return Status::InvalidArgument("\"" + op->as_string() +
-                                       "\" needs a numeric \"rider\"");
+                                       "\" needs an integer \"rider\"");
       }
-      req.rider = static_cast<RiderId>(r->as_number());
       break;
     }
     case RequestOp::kInjectFault: {
       req.fault_kind = doc.GetString("kind", "");
       if (req.fault_kind == "breakdown") {
-        const JsonValue* v = doc.Find("vehicle");
-        if (v == nullptr || !v->is_number()) {
+        if (!ParseId(doc.Find("vehicle"), &req.vehicle)) {
           return Status::InvalidArgument(
-              "breakdown injection needs a numeric \"vehicle\"");
+              "breakdown injection needs an integer \"vehicle\"");
         }
-        req.vehicle = static_cast<int>(v->as_number());
       } else if (req.fault_kind == "edge_disrupt" ||
                  req.fault_kind == "edge_restore") {
-        const JsonValue* a = doc.Find("a");
-        const JsonValue* b = doc.Find("b");
-        if (a == nullptr || !a->is_number() || b == nullptr ||
-            !b->is_number()) {
+        if (!ParseId(doc.Find("a"), &req.edge_a) ||
+            !ParseId(doc.Find("b"), &req.edge_b)) {
           return Status::InvalidArgument(
-              "edge-fault injection needs numeric \"a\" and \"b\"");
+              "edge-fault injection needs integer \"a\" and \"b\"");
         }
-        req.edge_a = static_cast<NodeId>(a->as_number());
-        req.edge_b = static_cast<NodeId>(b->as_number());
         req.factor = doc.GetNumber("factor", 1);
       } else {
         return Status::InvalidArgument(

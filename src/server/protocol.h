@@ -43,7 +43,8 @@
 // `time` is required under a virtual clock and ignored under a steady
 // clock (the server stamps its own). Responses carry {"id", "ok", "code"}
 // plus op fields; codes follow the HTTP idiom: 200 ok, 400 malformed
-// request, 404 unknown rider/vehicle, 409 duplicate submission, 429
+// request (ids — rider, vehicle, a, b — must be integers within int32),
+// 404 unknown rider/vehicle/node, 409 duplicate submission, 429
 // admission-control rejection (queue full), 500 internal error, 503
 // shutting down. A dispatch-infeasible rejection (no vehicle fits) is NOT
 // an error: it is a 200 with result:"rejected" and a reason — the request

@@ -63,26 +63,6 @@ int GridIndex::CellY(double y) const {
   return std::clamp(cy, 0, cells_y_ - 1);
 }
 
-std::vector<NodeId> GridIndex::NodesWithinEuclidean(const Coord& center,
-                                                    double radius) const {
-  std::vector<NodeId> out;
-  if (radius < 0) return out;
-  const int x0 = CellX(center.x - radius);
-  const int x1 = CellX(center.x + radius);
-  const int y0 = CellY(center.y - radius);
-  const int y1 = CellY(center.y + radius);
-  for (int cy = y0; cy <= y1; ++cy) {
-    for (int cx = x0; cx <= x1; ++cx) {
-      for (NodeId v : Cell(cx, cy)) {
-        if (EuclideanDistance(network_->coord(v), center) <= radius) {
-          out.push_back(v);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 NodeId GridIndex::NearestNode(const Coord& center) const {
   if (network_->num_nodes() == 0) return kInvalidNode;
   const int cx = CellX(center.x);

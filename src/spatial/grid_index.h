@@ -1,6 +1,5 @@
-// Uniform-grid spatial index over node coordinates. Supports the coarse
-// "which vehicles could possibly reach this pickup in time" prefilter the
-// paper attributes to a spatial index [29], via Euclidean lower bounds.
+// Uniform-grid spatial index over node coordinates: nearest-node lookup by
+// Euclidean distance.
 #ifndef URR_SPATIAL_GRID_INDEX_H_
 #define URR_SPATIAL_GRID_INDEX_H_
 
@@ -18,12 +17,6 @@ class GridIndex {
   /// to have coordinates.
   static Result<GridIndex> Build(const RoadNetwork& network,
                                  int target_cells = 4096);
-
-  /// All nodes whose Euclidean distance to `center`'s coordinate is at most
-  /// `radius` (in coordinate units). Exact: candidates from overlapping cells
-  /// are distance-checked.
-  std::vector<NodeId> NodesWithinEuclidean(const Coord& center,
-                                           double radius) const;
 
   /// Nearest indexed node to `center` by Euclidean distance (expanding-ring
   /// search); kInvalidNode for an empty index.

@@ -1,8 +1,5 @@
-// Trip-record CSV import/export. Real datasets (NYC TLC, Chicago Data
-// Portal) arrive as CSV with pickup/dropoff coordinates and timestamps; we
-// snap coordinates to the nearest road node with the grid index and emit
-// records the rest of the pipeline consumes. The export side round-trips
-// generated workloads for external analysis.
+// Trip-record CSV import: `urr_dispatch --trips` reads a node-based trip
+// table and turns it into the records the rest of the pipeline consumes.
 #ifndef URR_TRIPS_IO_H_
 #define URR_TRIPS_IO_H_
 
@@ -10,31 +7,16 @@
 
 #include "common/csv.h"
 #include "common/result.h"
-#include "spatial/grid_index.h"
 #include "trips/trip_record.h"
 
 namespace urr {
 
-/// Column names used by both directions.
-///   node-based:  pickup_node, dropoff_node, pickup_time, duration
-///   coord-based: pickup_x, pickup_y, dropoff_x, dropoff_y, pickup_time,
-///                duration
-/// Extra columns are ignored on import.
-
-/// Serializes records into a node-based CSV table.
-CsvTable TripRecordsToCsv(const TripRecords& records);
-
-/// Parses a node-based CSV table. Node ids are validated against
-/// `num_nodes`.
+/// Parses a node-based CSV table with the columns pickup_node,
+/// dropoff_node, pickup_time and duration (extra columns are ignored).
+/// Node ids are validated against `num_nodes`.
 Result<TripRecords> TripRecordsFromCsv(const CsvTable& table, NodeId num_nodes);
 
-/// Parses a coordinate-based CSV table, snapping endpoints to the nearest
-/// road node via `index` (the paper pins riders to road-network vertices).
-Result<TripRecords> TripRecordsFromCoordCsv(const CsvTable& table,
-                                            const GridIndex& index);
-
-/// File conveniences.
-Status WriteTripRecords(const std::string& path, const TripRecords& records);
+/// Reads and parses a node-based trip CSV file.
 Result<TripRecords> ReadTripRecords(const std::string& path, NodeId num_nodes);
 
 }  // namespace urr

@@ -12,7 +12,6 @@
 #include "routing/distance_oracle.h"  // IWYU pragma: export
 #include "routing/hub_labels.h"       // IWYU pragma: export
 #include "sched/insertion.h"          // IWYU pragma: export
-#include "sched/kinetic_tree.h"       // IWYU pragma: export
 #include "sched/reorder.h"            // IWYU pragma: export
 #include "sched/transfer_sequence.h"  // IWYU pragma: export
 #include "social/social_graph.h"      // IWYU pragma: export

@@ -61,16 +61,6 @@ TEST(DimacsTest, RejectsNonSpProblem) {
   EXPECT_FALSE(ParseDimacs("p max 2 1\na 1 2 1\n").ok());
 }
 
-TEST(DimacsTest, ExportRoundTrips) {
-  auto g = ParseDimacs(kGr);
-  ASSERT_TRUE(g.ok());
-  auto g2 = ParseDimacs(ToDimacsGr(*g));
-  ASSERT_TRUE(g2.ok());
-  EXPECT_EQ(g2->num_nodes(), g->num_nodes());
-  EXPECT_EQ(g2->num_edges(), g->num_edges());
-  EXPECT_DOUBLE_EQ(g2->EdgeCost(1, 2), 20);
-}
-
 TEST(DimacsTest, LoadMissingFileFails) {
   auto r = LoadDimacsFiles("/does/not/exist.gr");
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);

@@ -30,35 +30,6 @@ TEST(GridIndexTest, RejectsBadCellCount) {
   EXPECT_FALSE(GridIndex::Build(*g, 0).ok());
 }
 
-TEST(GridIndexTest, RangeQueryIsExact) {
-  Rng rng(62);
-  auto g = SmallCity(&rng);
-  ASSERT_TRUE(g.ok());
-  auto index = GridIndex::Build(*g, 64);
-  ASSERT_TRUE(index.ok());
-  for (int trial = 0; trial < 30; ++trial) {
-    const NodeId c = static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
-    const Coord center = g->coord(c);
-    const double radius = rng.Uniform(0, 400);
-    auto got = index->NodesWithinEuclidean(center, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<NodeId> want;
-    for (NodeId v = 0; v < g->num_nodes(); ++v) {
-      if (EuclideanDistance(g->coord(v), center) <= radius) want.push_back(v);
-    }
-    EXPECT_EQ(got, want) << "center " << c << " radius " << radius;
-  }
-}
-
-TEST(GridIndexTest, NegativeRadiusEmpty) {
-  Rng rng(63);
-  auto g = SmallCity(&rng);
-  ASSERT_TRUE(g.ok());
-  auto index = GridIndex::Build(*g);
-  ASSERT_TRUE(index.ok());
-  EXPECT_TRUE(index->NodesWithinEuclidean({0, 0}, -1).empty());
-}
-
 TEST(GridIndexTest, NearestNodeMatchesBruteForce) {
   Rng rng(64);
   auto g = SmallCity(&rng);
@@ -83,7 +54,6 @@ TEST(GridIndexTest, SingleNodeNetwork) {
   auto index = GridIndex::Build(*g, 16);
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->NearestNode({100, 100}), 0);
-  EXPECT_EQ(index->NodesWithinEuclidean({5, 5}, 1).size(), 1u);
 }
 
 }  // namespace

@@ -150,7 +150,6 @@ TEST(IndexSnapshotTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(SaveIndexSnapshot(snap, path).ok());
   EXPECT_EQ(ReadFileBytes(path), bytes) << "file bytes == in-memory encoding";
 
-  EXPECT_TRUE(VerifyIndexSnapshotFile(path).ok());
   auto checksum = IndexSnapshotFileChecksum(path);
   ASSERT_TRUE(checksum.ok());
   EXPECT_EQ(*checksum, Fnv1a64(bytes.data(), bytes.size()));
@@ -499,12 +498,10 @@ TEST_F(IndexSnapshotCorruptionTest, LoadOfCorruptFileFailsWithPathContext) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find(path), std::string::npos)
       << "error should name the offending file: " << loaded.status();
-  EXPECT_FALSE(VerifyIndexSnapshotFile(path).ok());
 }
 
 TEST_F(IndexSnapshotCorruptionTest, MissingFileFails) {
   EXPECT_FALSE(LoadIndexSnapshot("/nonexistent/no.urrx").ok());
-  EXPECT_FALSE(VerifyIndexSnapshotFile("/nonexistent/no.urrx").ok());
   EXPECT_FALSE(IndexSnapshotFileChecksum("/nonexistent/no.urrx").ok());
 }
 

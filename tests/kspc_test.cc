@@ -91,64 +91,6 @@ TEST(KspcTest, LargerKGivesSmallerCover) {
   }
 }
 
-class KspcSamplingTest
-    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
-
-TEST_P(KspcSamplingTest, SamplingCoverIsValid) {
-  const int k = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  Rng rng(seed);
-  GridCityOptions opt;
-  opt.width = 8;
-  opt.height = 8;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  KspcOptions kopt;
-  kopt.k = k;
-  auto cover = KShortestPathCoverSampling(*g, kopt, &rng);
-  ASSERT_TRUE(cover.ok());
-  EXPECT_TRUE(VerifyKspc(*g, *cover, k));
-  EXPECT_LT(cover->size(), static_cast<size_t>(g->num_nodes()));
-  EXPECT_GT(cover->size(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, KspcSamplingTest,
-    ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Values(17, 18)),
-    [](const auto& info) {
-      std::string name = "k";
-      name += std::to_string(std::get<0>(info.param));
-      name += "seed";
-      name += std::to_string(std::get<1>(info.param));
-      return name;
-    });
-
-TEST(KspcTest, PruningCoverUsuallySmallerThanSampling) {
-  Rng rng(19);
-  GridCityOptions opt;
-  opt.width = 10;
-  opt.height = 10;
-  auto g = GenerateGridCity(opt, &rng);
-  ASSERT_TRUE(g.ok());
-  KspcOptions kopt;
-  kopt.k = 3;
-  auto pruning = KShortestPathCover(*g, kopt, &rng);
-  auto sampling = KShortestPathCoverSampling(*g, kopt, &rng);
-  ASSERT_TRUE(pruning.ok() && sampling.ok());
-  // Both valid; pruning should not be dramatically worse (paper: pruning is
-  // the better construction).
-  EXPECT_LE(pruning->size(), sampling->size() * 2);
-}
-
-TEST(KspcTest, SamplingRejectsBadK) {
-  Rng rng(1);
-  auto g = RoadNetwork::Build(2, {{0, 1, 1}});
-  ASSERT_TRUE(g.ok());
-  KspcOptions opt;
-  opt.k = 1;
-  EXPECT_FALSE(KShortestPathCoverSampling(*g, opt, &rng).ok());
-}
-
 TEST(KspcTest, VerifierDetectsViolations) {
   // Path 0-1-2 with empty cover: the 2-vertex shortest path 0-1 is
   // uncovered.

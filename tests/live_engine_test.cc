@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -325,13 +327,27 @@ TEST(LiveEngineTest, ArmedOverlayAcceptsLiveEdgeFaults) {
   ASSERT_TRUE(
       run.engine.SubmitLive(workload.arrivals[0].rider, 5).ok());
   EXPECT_TRUE(run.engine.InjectEdgeFaultLive(0, 1, 2.0, 10).ok());
-  EXPECT_FALSE(run.engine.InjectEdgeFaultLive(0, 1, 0.5, 11).ok())
-      << "factors below 1 would break overlay admissibility";
+  for (const double factor : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(run.engine.InjectEdgeFaultLive(0, 1, factor, 11).code(),
+              StatusCode::kInvalidArgument)
+        << "factor " << factor << " would break overlay admissibility";
+  }
+  // Endpoints index the network's adjacency: unknown nodes are NotFound.
+  const NodeId n = world->network.num_nodes();
+  for (const auto& [a, b] : std::vector<std::pair<NodeId, NodeId>>{
+           {999999, 0}, {0, 999999}, {-1, 0}, {0, n}}) {
+    EXPECT_EQ(run.engine.InjectEdgeFaultLive(a, b, 2.0, 11).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(run.engine.InjectEdgeRestoreLive(a, b, 11).code(),
+              StatusCode::kNotFound);
+  }
   EXPECT_TRUE(run.engine.InjectEdgeRestoreLive(0, 1, 12).ok());
+  // kInfiniteCost is a closure, not a bad factor.
+  EXPECT_TRUE(run.engine.InjectEdgeFaultLive(0, 1, kInfiniteCost, 12).ok());
   EXPECT_TRUE(run.engine.InjectBreakdownLive(0, 13).ok());
   EXPECT_FALSE(run.engine.InjectBreakdownLive(-3, 14).ok());
   ASSERT_TRUE(run.engine.FinishLive().ok());
-  EXPECT_EQ(run.engine.metrics().total_edge_disruptions, 1);
+  EXPECT_EQ(run.engine.metrics().total_edge_disruptions, 2);
   EXPECT_EQ(run.engine.metrics().total_edge_restores, 1);
   EXPECT_EQ(run.engine.metrics().total_breakdowns, 1);
 }

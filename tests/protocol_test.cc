@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/json_parser.h"
@@ -132,6 +134,45 @@ TEST(ParseRequestTest, RejectsMalformedRequests) {
   EXPECT_FALSE(
       ParseRequest(R"({"op":"inject_fault","kind":"edge_disrupt","a":1})")
           .ok());
+}
+
+TEST(ParseRequestTest, RejectsIdsThatAreNotInt32Integers) {
+  // Ids index riders, vehicles and nodes: a fractional or out-of-range
+  // number must not be truncated or cast into one.
+  for (const std::string bad : {"3.7", "1e300", "-1e300", "2147483648",
+                                "-2147483649", "NaN", "1e999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(
+        ParseRequest(R"({"op":"submit_rider","rider":)" + bad + "}").ok());
+    EXPECT_FALSE(
+        ParseRequest(R"({"op":"cancel_rider","rider":)" + bad + "}").ok());
+    EXPECT_FALSE(ParseRequest(
+                     R"({"op":"inject_fault","kind":"breakdown","vehicle":)" +
+                     bad + "}")
+                     .ok());
+    EXPECT_FALSE(ParseRequest(
+                     R"({"op":"inject_fault","kind":"edge_disrupt","a":)" +
+                     bad + R"(,"b":1})")
+                     .ok());
+    EXPECT_FALSE(ParseRequest(
+                     R"({"op":"inject_fault","kind":"edge_restore","a":1,"b":)" +
+                     bad + "}")
+                     .ok());
+  }
+  // The int32 extremes and integral values written with a fraction or an
+  // exponent are ids; whether they exist is the service's 404.
+  auto low = ParseRequest(R"({"op":"submit_rider","rider":-2147483648})");
+  ASSERT_TRUE(low.ok()) << low.status();
+  EXPECT_EQ(low->rider, std::numeric_limits<int32_t>::min());
+  auto edge = ParseRequest(
+      R"({"op":"inject_fault","kind":"edge_restore","a":2147483647,"b":4.0})");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->edge_a, std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(edge->edge_b, 4);
+  auto vehicle = ParseRequest(
+      R"({"op":"inject_fault","kind":"breakdown","vehicle":2e1})");
+  ASSERT_TRUE(vehicle.ok()) << vehicle.status();
+  EXPECT_EQ(vehicle->vehicle, 20);
 }
 
 TEST(ErrorResponseTest, CarriesIdCodeAndMessage) {

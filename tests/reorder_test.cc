@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "routing/hub_labels.h"
 
 namespace urr {
 namespace {
@@ -146,6 +150,102 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReorderPropertyTest,
                            return "seed" + std::to_string(info.param.seed) +
                                   "cap" + std::to_string(info.param.capacity);
                          });
+
+/// Slow reference for FindBestInsertionWithReordering: tries every ordering
+/// of `seq`'s stops plus `trip`'s two stops that keeps each pickup before its
+/// dropoff, materializes it through ApplyReorderPlan and keeps it when
+/// Validate() accepts it. Returns the cheapest total cost, or kInfiniteCost
+/// when no ordering is valid. Assumes no rider is onboard at the start.
+Cost BruteForceBestTotalCost(const TransferSequence& seq,
+                             const RiderTrip& trip) {
+  std::vector<Stop> pool;
+  for (int u = 0; u < seq.num_stops(); ++u) pool.push_back(seq.stop(u));
+  pool.push_back({trip.source, trip.rider, StopType::kPickup,
+                  trip.pickup_deadline});
+  pool.push_back({trip.destination, trip.rider, StopType::kDropoff,
+                  trip.dropoff_deadline});
+  std::vector<int> order(pool.size());
+  std::iota(order.begin(), order.end(), 0);
+  Cost best = kInfiniteCost;
+  do {
+    ReorderPlan plan;
+    std::vector<RiderId> picked;
+    bool paired = true;
+    for (int i : order) {
+      const Stop& stop = pool[static_cast<size_t>(i)];
+      if (stop.type == StopType::kPickup) {
+        picked.push_back(stop.rider);
+      } else if (std::find(picked.begin(), picked.end(), stop.rider) ==
+                 picked.end()) {
+        paired = false;
+        break;
+      }
+      plan.stops.push_back(stop);
+    }
+    if (!paired) continue;
+    const TransferSequence candidate = ApplyReorderPlan(seq, plan);
+    if (candidate.Validate().ok()) {
+      best = std::min(best, candidate.TotalCost());
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  return best;
+}
+
+class ReorderExactnessTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReorderExactnessTest, MatchesBruteForceOnRandomInstances) {
+  // Riders arrive one at a time; each is inserted with the exact reordering
+  // search, checked against every ordering of the stops, and its plan is
+  // committed before the next rider arrives (up to 3 committed riders + the
+  // new one, so at most 8 stops).
+  Rng rng(GetParam());
+  GridCityOptions opt;
+  opt.width = 7;
+  opt.height = 7;
+  auto g = GenerateGridCity(opt, &rng);
+  ASSERT_TRUE(g.ok());
+  auto labels = HubLabelOracle::Create(*g);
+  ASSERT_TRUE(labels.ok());
+  DistanceOracle& oracle = **labels;
+  auto random_node = [&] {
+    return static_cast<NodeId>(rng.UniformInt(0, g->num_nodes() - 1));
+  };
+  int nontrivial = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    TransferSequence committed(random_node(), 0, 2, &oracle);
+    int accepted = 0;
+    for (int r = 0; r < 4; ++r) {
+      const NodeId s = random_node();
+      const NodeId e = random_node();
+      if (s == e) continue;
+      RiderTrip trip{r, s, e, rng.Uniform(400, 2500), 0};
+      trip.dropoff_deadline =
+          trip.pickup_deadline + oracle.Distance(s, e) * rng.Uniform(1.3, 2.5);
+      const Cost want = BruteForceBestTotalCost(committed, trip);
+      auto exact = FindBestInsertionWithReordering(committed, trip);
+      if (want == kInfiniteCost) {
+        EXPECT_EQ(exact.status().code(), StatusCode::kInfeasible)
+            << "trial " << trial << " rider " << r;
+        ++infeasible;
+        continue;
+      }
+      ASSERT_TRUE(exact.ok()) << exact.status() << ", trial " << trial
+                              << " rider " << r;
+      EXPECT_NEAR(exact->total_cost, want, 1e-6)
+          << "trial " << trial << " rider " << r;
+      committed = ApplyReorderPlan(committed, *exact);
+      ASSERT_TRUE(committed.Validate().ok());
+      ++accepted;
+    }
+    if (accepted >= 3) ++nontrivial;
+  }
+  EXPECT_GT(nontrivial, 3);
+  EXPECT_GT(infeasible, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReorderExactnessTest,
+                         ::testing::Values(31, 32, 33, 34));
 
 }  // namespace
 }  // namespace urr

@@ -344,6 +344,18 @@ TEST(ServerTest, MalformedRequestsGetPreciseErrors) {
   ASSERT_TRUE(duplicate.ok());
   EXPECT_EQ(duplicate->GetInt("code", 0), 409);
 
+  // Edge faults name nodes of the network; a fractional id is malformed.
+  auto unknown_node = conn->Call(
+      "{\"op\":\"inject_fault\",\"kind\":\"edge_disrupt\",\"a\":999999,"
+      "\"b\":0,\"factor\":2,\"time\":7}");
+  ASSERT_TRUE(unknown_node.ok());
+  EXPECT_EQ(unknown_node->GetInt("code", 0), 404);
+  auto fractional = conn->Call(
+      "{\"op\":\"inject_fault\",\"kind\":\"edge_restore\",\"a\":3.7,"
+      "\"b\":0,\"time\":7}");
+  ASSERT_TRUE(fractional.ok());
+  EXPECT_EQ(fractional->GetInt("code", 0), 400);
+
   // The connection survived every error and still serves.
   auto metrics = conn->Call("{\"op\":\"metrics\"}");
   ASSERT_TRUE(metrics.ok());

@@ -301,25 +301,6 @@ TEST_F(TransferSequenceTest, AdvanceToDrainsAndIdles) {
   EXPECT_TRUE(seq.Validate().ok());
 }
 
-TEST_F(TransferSequenceTest, PositionAtTracksTheRoute) {
-  TransferSequence seq(0, 0, 2, oracle_.get());
-  seq.InsertStop(0, {1, 0, StopType::kPickup, 50});
-  seq.InsertStop(1, {3, 0, StopType::kDropoff, 100});
-  RoutePosition pos = seq.PositionAt(5);  // mid-leg to the pickup
-  EXPECT_EQ(pos.at, 0);
-  EXPECT_DOUBLE_EQ(pos.depart_time, 0);
-  EXPECT_EQ(pos.next_stop, 0);
-  EXPECT_DOUBLE_EQ(pos.next_arrival, 10);
-  pos = seq.PositionAt(15);  // between the stops
-  EXPECT_EQ(pos.at, 1);
-  EXPECT_DOUBLE_EQ(pos.depart_time, 10);
-  EXPECT_EQ(pos.next_stop, 1);
-  EXPECT_DOUBLE_EQ(pos.next_arrival, 30);
-  pos = seq.PositionAt(99);  // past the last stop
-  EXPECT_EQ(pos.at, 3);
-  EXPECT_EQ(pos.next_stop, -1);
-}
-
 TEST_F(TransferSequenceTest, OnboardRiderCannotBeRemoved) {
   TransferSequence seq(0, 0, 2, oracle_.get());
   seq.InsertStop(0, {1, 0, StopType::kPickup, 50});
