@@ -93,40 +93,5 @@ int main() {
   }
   std::printf("\ncost model eta* = %.0f -> picks k = %d; measured fastest k = %d\n",
               eta_star, model_k, fastest_k);
-
-  // --- Group processing order (Algorithm 5 line 7 chooses largest-first). --
-  std::printf("\ngroup processing order at k=%d (GBS+BA):\n", cfg.gbs.k);
-  TablePrinter order_table({"order", "utility", "served", "solve (s)"});
-  SolverContext ctx = w.Context();
-  GbsOptions base_opt = cfg.gbs;
-  base_opt.base = GbsBase::kBilateral;
-  auto pre = PrepareGbs(w.instance, &ctx, base_opt);
-  if (!pre.ok()) {
-    std::fprintf(stderr, "preprocess failed: %s\n",
-                 pre.status().ToString().c_str());
-    return 1;
-  }
-  const struct {
-    const char* name;
-    GbsGroupOrder order;
-  } orders[] = {{"largest-first (paper)", GbsGroupOrder::kLargestFirst},
-                {"smallest-first", GbsGroupOrder::kSmallestFirst},
-                {"random", GbsGroupOrder::kRandom}};
-  for (const auto& o : orders) {
-    GbsOptions run = base_opt;
-    run.group_order = o.order;
-    Stopwatch t;
-    auto sol = SolveGbs(w.instance, &ctx, run, *pre);
-    const double seconds = t.ElapsedSeconds();
-    if (!sol.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", o.name,
-                   sol.status().ToString().c_str());
-      return 1;
-    }
-    order_table.AddRow({o.name, TablePrinter::Num(sol->TotalUtility(w.model), 3),
-                        std::to_string(sol->NumAssigned()),
-                        TablePrinter::Num(seconds, 3)});
-  }
-  order_table.Print();
   return 0;
 }

@@ -19,10 +19,21 @@ double JsonValue::GetNumber(std::string_view key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
 }
 
+bool JsonValue::AsInt64(int64_t* out) const {
+  // -2^63 is a double; 2^63 is the first double past the int64 range.
+  constexpr double kTwoPow63 = 9223372036854775808.0;
+  if (!is_number() || !(number_ >= -kTwoPow63 && number_ < kTwoPow63) ||
+      number_ != std::trunc(number_)) {
+    return false;  // NaN fails the range test
+  }
+  *out = static_cast<int64_t>(number_);
+  return true;
+}
+
 int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {
   const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  return static_cast<int64_t>(v->as_number());
+  int64_t out = fallback;
+  return (v != nullptr && v->AsInt64(&out)) ? out : fallback;
 }
 
 std::string JsonValue::GetString(std::string_view key,

@@ -34,6 +34,10 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
+  /// True when this is a finite, integral number within int64, which is
+  /// then stored in `*out`. A plain cast would truncate 3.7 and is
+  /// undefined for 1e300.
+  bool AsInt64(int64_t* out) const;
   const std::string& as_string() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
@@ -44,6 +48,7 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
   /// Typed object lookups with defaults (the idiom request handlers use).
+  /// GetInt falls back unless the value passes AsInt64.
   double GetNumber(std::string_view key, double fallback) const;
   int64_t GetInt(std::string_view key, int64_t fallback) const;
   std::string GetString(std::string_view key, std::string_view fallback) const;

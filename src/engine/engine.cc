@@ -1023,7 +1023,7 @@ Status DispatchEngine::SolveWindow(Cost t) {
         break;
       case WindowSolver::kBilateral:
         BilateralArrange(instance_, &ctx_, riders, all_vehicles_, &solution_,
-                         /*group_filter=*/nullptr, &removable);
+                         &removable);
         break;
       case WindowSolver::kGbsEg:
       case WindowSolver::kGbsBa:

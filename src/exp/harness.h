@@ -55,10 +55,11 @@ struct ExperimentConfig {
   bool synthetic = true;          // Poisson-mined pipeline vs records directly
   uint64_t seed = 42;
 
-  /// Evaluation threads for the solvers (candidate evaluation + GBS group
-  /// waves). 0 = take URR_THREADS from the environment; 1 = serial. Results
-  /// are bit-identical for every value. The same pool also parallelizes the
-  /// CH contraction and hub-label extraction during BuildWorld.
+  /// Evaluation threads for the solvers (candidate retrieval and
+  /// evaluation). 0 = take URR_THREADS from the environment; 1 = serial.
+  /// Results are bit-identical for every value. The same pool also
+  /// parallelizes the CH contraction and hub-label extraction during
+  /// BuildWorld.
   int num_threads = 0;
 
   /// Path to a .urrx index snapshot. When set, the hub labels are loaded

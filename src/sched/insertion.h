@@ -78,8 +78,8 @@ struct InsertionScratch {
 /// Optimistic Euclidean lower bound on network distance: straight-line
 /// length divided by the network's maximum speed never exceeds the
 /// shortest-path travel cost. Disabled (never screens) without coordinates
-/// or a positive speed. Generalizes the GroupFilter / ValidVehiclesForRider
-/// prefilters down into the insertion kernel's inner loops.
+/// or a positive speed. Generalizes the ValidVehiclesForRider prefilter
+/// down into the insertion kernel's inner loops.
 struct InsertionScreen {
   const RoadNetwork* network = nullptr;
   double speed = 0;

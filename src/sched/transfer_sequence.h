@@ -241,8 +241,7 @@ class TransferSequence {
   /// sequences with different content never share a version, so
   /// (rider, vehicle, version) keys cached candidate evaluations safely —
   /// even across whole-schedule replacement. Copies keep the source's
-  /// version (identical content); `set_oracle` does NOT bump it (identical
-  /// distances by contract).
+  /// version (identical content).
   uint64_t version() const { return version_; }
 
   /// Zero-copy read view over the derived arrays. Valid until the next
@@ -252,13 +251,6 @@ class TransferSequence {
   /// Process-wide count of TransferSequence copy constructions/assignments.
   /// Tests diff this around the evaluation hot path to prove it zero-copy.
   static uint64_t CopyCount();
-
-  /// Re-points leg-cost queries at `oracle`, which must answer the same
-  /// distances as the current one (e.g. a DistanceOracle::Clone). Derived
-  /// fields are NOT recomputed — they stay valid precisely because the
-  /// distances are identical. Used to evaluate copies of a schedule on a
-  /// worker thread with that worker's private oracle.
-  void set_oracle(DistanceOracle* oracle) { oracle_ = oracle; }
 
  private:
   /// Recomputes every derived array from `stops_` (O(w) oracle calls for

@@ -1,6 +1,5 @@
 #include "server/protocol.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -54,15 +53,22 @@ bool ParseOp(std::string_view name, RequestOp* op) {
 /// integral and within int32. 3.7 or 1e300 would otherwise be truncated or
 /// cast out of range.
 bool ParseId(const JsonValue* v, int32_t* out) {
-  if (v == nullptr || !v->is_number()) return false;
-  const double x = v->as_number();
-  if (!(x >= std::numeric_limits<int32_t>::min() &&
-        x <= std::numeric_limits<int32_t>::max()) ||
-      x != std::trunc(x)) {
-    return false;  // NaN fails the range test
+  int64_t x = 0;
+  if (v == nullptr || !v->AsInt64(&x) ||
+      x < std::numeric_limits<int32_t>::min() ||
+      x > std::numeric_limits<int32_t>::max()) {
+    return false;
   }
   *out = static_cast<int32_t>(x);
   return true;
+}
+
+/// Reads an optional integer field (id, req_id, offset, limit): absent
+/// leaves `*out` at its default; present, it must pass JsonValue::AsInt64.
+bool ParseOptionalInt(const JsonValue& doc, std::string_view key,
+                      int64_t* out) {
+  const JsonValue* v = doc.Find(key);
+  return v == nullptr || v->AsInt64(out);
 }
 
 }  // namespace
@@ -80,8 +86,10 @@ Result<Request> ParseRequest(std::string_view payload) {
   if (!ParseOp(op->as_string(), &req.op)) {
     return Status::InvalidArgument("unknown op \"" + op->as_string() + "\"");
   }
-  req.id = doc.GetInt("id", -1);
-  req.req_id = doc.GetInt("req_id", -1);
+  if (!ParseOptionalInt(doc, "id", &req.id) ||
+      !ParseOptionalInt(doc, "req_id", &req.req_id)) {
+    return Status::InvalidArgument("\"id\" and \"req_id\" must be integers");
+  }
   if (const JsonValue* t = doc.Find("time"); t != nullptr) {
     if (!t->is_number()) {
       return Status::InvalidArgument("\"time\" must be a number");
@@ -122,8 +130,11 @@ Result<Request> ParseRequest(std::string_view payload) {
       break;
     }
     case RequestOp::kWorkload: {
-      req.offset = doc.GetInt("offset", 0);
-      req.limit = doc.GetInt("limit", 0);
+      if (!ParseOptionalInt(doc, "offset", &req.offset) ||
+          !ParseOptionalInt(doc, "limit", &req.limit)) {
+        return Status::InvalidArgument(
+            "workload \"offset\" and \"limit\" must be integers");
+      }
       if (req.offset < 0 || req.limit < 0) {
         return Status::InvalidArgument(
             "workload \"offset\" and \"limit\" must be non-negative");

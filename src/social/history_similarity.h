@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "graph/road_network.h"
 #include "social/checkins.h"
-#include "spatial/grid_index.h"
 
 namespace urr {
 

@@ -56,7 +56,6 @@ Replacement TryReplace(const UrrInstance& instance, const UtilityModel& model,
 void BilateralArrange(const UrrInstance& instance, SolverContext* ctx,
                       const std::vector<RiderId>& riders,
                       const std::vector<int>& vehicles, UrrSolution* sol,
-                      const GroupFilter* group_filter,
                       const std::vector<bool>* removable) {
   std::vector<bool> allowed(instance.vehicles.size(), false);
   for (int j : vehicles) allowed[static_cast<size_t>(j)] = true;
@@ -71,15 +70,8 @@ void BilateralArrange(const UrrInstance& instance, SolverContext* ctx,
     if (sol->assignment[static_cast<size_t>(i)] >= 0) continue;
     open.push_back(i);
   }
-  std::vector<std::vector<int>> lists(open.size());
-  if (group_filter == nullptr) {
-    lists = CandidateVehiclesForRiders(instance, ctx, open, &allowed);
-  } else {
-    for (size_t k = 0; k < open.size(); ++k) {
-      lists[k] =
-          GroupCandidatesForRider(instance, ctx, open[k], vehicles, *group_filter);
-    }
-  }
+  std::vector<std::vector<int>> lists =
+      CandidateVehiclesForRiders(instance, ctx, open, &allowed);
   std::vector<std::vector<int>> candidates(instance.riders.size());
   std::vector<RiderId> pool;
   for (size_t k = 0; k < open.size(); ++k) {

@@ -12,16 +12,12 @@ namespace urr {
 /// Runs BA over the given rider/vehicle subsets, mutating `sol`. Used
 /// directly by GBS per group. Deterministic given ctx->rng's state (the
 /// paper picks riders randomly; we draw from the seeded Rng).
-/// When `group_filter` is non-null, rider C_i lists come from the O(1)
-/// key-vertex bound (GBS's fast per-group filtering, Sec 6.2) instead of
-/// per-rider reverse Dijkstras.
 /// When `removable` is non-null, the replacement step (lines 12-15) may only
 /// bump riders with removable[i] == true — the streaming engine uses this to
 /// protect riders committed in earlier windows. nullptr = all removable.
 void BilateralArrange(const UrrInstance& instance, SolverContext* ctx,
                       const std::vector<RiderId>& riders,
                       const std::vector<int>& vehicles, UrrSolution* sol,
-                      const GroupFilter* group_filter = nullptr,
                       const std::vector<bool>* removable = nullptr);
 
 /// BA over the whole instance.

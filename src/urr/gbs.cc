@@ -17,17 +17,15 @@ namespace {
 void SolveGroup(const UrrInstance& instance, SolverContext* ctx,
                 const std::vector<RiderId>& riders,
                 const std::vector<int>& vehicles, GbsBase base,
-                const GroupFilter* group_filter, UrrSolution* sol,
-                const std::vector<bool>* removable) {
+                UrrSolution* sol, const std::vector<bool>* removable) {
   if (riders.empty() || vehicles.empty()) return;
   switch (base) {
     case GbsBase::kEfficientGreedy:
       GreedyArrange(instance, ctx, riders, vehicles,
-                    GreedyObjective::kUtilityEfficiency, sol, group_filter);
+                    GreedyObjective::kUtilityEfficiency, sol);
       break;
     case GbsBase::kBilateral:
-      BilateralArrange(instance, ctx, riders, vehicles, sol, group_filter,
-                       removable);
+      BilateralArrange(instance, ctx, riders, vehicles, sol, removable);
       break;
   }
 }
@@ -117,89 +115,23 @@ Status GbsArrange(const UrrInstance& instance, SolverContext* ctx,
 
   // --- Long trips first (line 8): they shape the schedules most. ------------
   phase.Reset();
-  SolveGroup(instance, ctx, long_trips, all_vehicles, options.base,
-             /*group_filter=*/nullptr, &sol, removable);
+  SolveGroup(instance, ctx, long_trips, all_vehicles, options.base, &sol,
+             removable);
   const double long_group_seconds = phase.ElapsedSeconds();
   double filter_seconds = 0;
   double group_solve_seconds = 0;
 
   // --- Short-trip groups, largest first (lines 7, 9-11). --------------------
-  std::vector<int> group_order;
+  std::vector<int> solve_order;
   for (int a = 0; a < pre.areas.num_areas(); ++a) {
-    if (!groups[static_cast<size_t>(a)].empty()) group_order.push_back(a);
+    if (!groups[static_cast<size_t>(a)].empty()) solve_order.push_back(a);
   }
-  switch (options.group_order) {
-    case GbsGroupOrder::kLargestFirst:
-      std::sort(group_order.begin(), group_order.end(), [&](int a, int b) {
-        return groups[static_cast<size_t>(a)].size() >
-               groups[static_cast<size_t>(b)].size();
-      });
-      break;
-    case GbsGroupOrder::kSmallestFirst:
-      std::sort(group_order.begin(), group_order.end(), [&](int a, int b) {
-        return groups[static_cast<size_t>(a)].size() <
-               groups[static_cast<size_t>(b)].size();
-      });
-      break;
-    case GbsGroupOrder::kRandom:
-      ctx->rng->Shuffle(&group_order);
-      break;
-  }
-  // Group-level parallelism (waves): consecutive groups in solve order are
-  // batched while their candidate-vehicle sets stay pairwise disjoint, then
-  // one wave is solved with one group per worker. Groups of a wave share no
-  // vehicles and no riders, and the EG base consumes no shared Rng, so each
-  // group computes exactly what it would have computed serially. Vehicle
-  // locations never move during a solve, so the (serial) index filter below
-  // is also order-independent.
-  struct GroupTask {
-    int area = -1;
-    std::vector<int> vehicles;
-    std::vector<Cost> dist_to_key;
-  };
-  const bool wave_parallel = options.parallel_groups &&
-                             ctx->eval_pool() != nullptr &&
-                             options.base == GbsBase::kEfficientGreedy &&
-                             options.use_group_filter_bound;
-  const size_t max_wave =
-      wave_parallel
-          ? std::max<size_t>(
-                8, 4 * static_cast<size_t>(ctx->pool->num_threads()))
-          : 1;  // bounds the dist_to_key memory held at once
-  std::vector<GroupTask> wave;
-  std::vector<char> wave_vehicle(instance.vehicles.size(), 0);
-  int solved = 0;
-
-  const auto flush_wave = [&]() {
-    if (wave.empty()) return;
-    phase.Reset();
-    ParallelFor(
-        ctx->eval_pool(), static_cast<int64_t>(wave.size()),
-        [&](int64_t k, int worker) {
-          GroupTask& task = wave[static_cast<size_t>(k)];
-          // The group's schedules commit through this worker's private
-          // oracle for the duration of the solve (identical distances, so
-          // the derived fields stay exact); no other group of the wave
-          // touches these vehicles.
-          DistanceOracle* worker_oracle = ctx->worker_oracle(worker);
-          for (int j : task.vehicles) {
-            sol.schedules[static_cast<size_t>(j)].set_oracle(worker_oracle);
-          }
-          GroupFilter group_filter{&task.dist_to_key, short_threshold};
-          SolveGroup(instance, ctx, groups[static_cast<size_t>(task.area)],
-                     task.vehicles, options.base, &group_filter, &sol,
-                     removable);
-          for (int j : task.vehicles) {
-            sol.schedules[static_cast<size_t>(j)].set_oracle(ctx->oracle);
-          }
-        });
-    group_solve_seconds += phase.ElapsedSeconds();
-    solved += static_cast<int>(wave.size());
-    wave.clear();
-    std::fill(wave_vehicle.begin(), wave_vehicle.end(), 0);
-  };
-
-  for (int a : group_order) {
+  std::sort(solve_order.begin(), solve_order.end(), [&](int a, int b) {
+    return groups[static_cast<size_t>(a)].size() >
+           groups[static_cast<size_t>(b)].size();
+  });
+  std::vector<int> group_vehicles;
+  for (int a : solve_order) {
     const std::vector<RiderId>& group = groups[static_cast<size_t>(a)];
     // Fast valid-vehicle filtering (Sec 6.2): a vehicle can serve the group
     // only if cost(l(c_j), u_x) - d_max*k < rt⁻_max - t̄.
@@ -213,54 +145,35 @@ Status GbsArrange(const UrrInstance& instance, SolverContext* ctx,
     const NodeId key = pre.split.origin[static_cast<size_t>(key_split)];
     const Cost radius = (rt_max - instance.now) + short_threshold;
     phase.Reset();
-    GroupTask task;
-    task.area = a;
-    task.dist_to_key.assign(instance.vehicles.size(), kInfiniteCost);
+    group_vehicles.clear();
     for (const VehicleWithDistance& v :
          ctx->vehicle_index->VehiclesWithinCost(key, radius)) {
-      task.vehicles.push_back(v.vehicle);
-      task.dist_to_key[static_cast<size_t>(v.vehicle)] = v.distance;
+      group_vehicles.push_back(v.vehicle);
     }
     filter_seconds += phase.ElapsedSeconds();
-    if (wave_parallel) {
-      bool conflict = wave.size() >= max_wave;
-      for (size_t t = 0; !conflict && t < task.vehicles.size(); ++t) {
-        conflict = wave_vehicle[static_cast<size_t>(task.vehicles[t])] != 0;
-      }
-      if (conflict) flush_wave();
-      for (int j : task.vehicles) wave_vehicle[static_cast<size_t>(j)] = 1;
-      wave.push_back(std::move(task));
-      continue;
-    }
     phase.Reset();
-    GroupFilter group_filter{&task.dist_to_key, short_threshold};
-    SolveGroup(instance, ctx, group, task.vehicles, options.base,
-               options.use_group_filter_bound ? &group_filter : nullptr, &sol,
+    SolveGroup(instance, ctx, group, group_vehicles, options.base, &sol,
                removable);
     group_solve_seconds += phase.ElapsedSeconds();
-    ++solved;
   }
-  flush_wave();
 
   // Leftover pass: riders whose group-local attempt failed (their area's
   // vehicles filled up) get one global attempt. The paper's Algorithm 5
   // stops at the last group; this completion only re-uses the same base
-  // primitive and is switchable for ablation.
-  if (options.final_pass) {
-    std::vector<RiderId> leftovers;
-    for (RiderId i : riders) {
-      if (sol.assignment[static_cast<size_t>(i)] < 0) leftovers.push_back(i);
-    }
-    SolveGroup(instance, ctx, leftovers, all_vehicles, options.base,
-               /*group_filter=*/nullptr, &sol, removable);
+  // primitive.
+  std::vector<RiderId> leftovers;
+  for (RiderId i : riders) {
+    if (sol.assignment[static_cast<size_t>(i)] < 0) leftovers.push_back(i);
   }
+  SolveGroup(instance, ctx, leftovers, all_vehicles, options.base, &sol,
+             removable);
 
   if (stats != nullptr) {
     stats->num_areas = pre.areas.num_areas();
     stats->num_pseudo_nodes =
         pre.split.network.num_nodes() - pre.split.original_num_nodes;
     stats->num_long_trips = static_cast<int>(long_trips.size());
-    stats->num_groups_solved = solved;
+    stats->num_groups_solved = static_cast<int>(solve_order.size());
     stats->k_used = pre.k;
     stats->preprocess_seconds = pre.seconds;
     stats->classify_seconds = classify_seconds;

@@ -2,7 +2,8 @@
 // construct k-SPC areas (Algorithm 4), classify trips into short (grouped by
 // source area) and long (group g_0), then solve g_0 first and the remaining
 // groups largest-first with BA or EG as the per-group base solver, using the
-// fast area-based vehicle filter.
+// fast area-based vehicle filter, and finally give the riders their group
+// left unassigned one attempt over the whole fleet.
 #ifndef URR_URR_GBS_H_
 #define URR_URR_GBS_H_
 
@@ -16,11 +17,6 @@ namespace urr {
 /// Which base method solves each trip group.
 enum class GbsBase { kEfficientGreedy, kBilateral };
 
-/// Order in which short-trip groups are solved. The paper processes the
-/// largest group first ("we give higher priorities to groups with more
-/// trips"); the alternatives exist for the ablation.
-enum class GbsGroupOrder { kLargestFirst, kSmallestFirst, kRandom };
-
 /// GBS parameters (Sec 6.1).
 struct GbsOptions {
   /// k-SPC parameter; also defines the short-trip threshold d_max * k.
@@ -31,25 +27,6 @@ struct GbsOptions {
   GbsBase base = GbsBase::kEfficientGreedy;
   /// When true, k is chosen by the Sec-6.3 cost model before solving.
   bool auto_k = false;
-  /// Run one global pass over riders left unassigned by their group
-  /// (implementation completion beyond Algorithm 5; ablatable).
-  bool final_pass = true;
-  /// How short-trip groups are ordered (paper: largest first).
-  GbsGroupOrder group_order = GbsGroupOrder::kLargestFirst;
-  /// Candidate vehicles inside a group: false (default) = one budget-bounded
-  /// reverse Dijkstra per rider; true = the O(1) key-vertex lower bound of
-  /// Sec 6.2 only (cheaper per pair, but admits more infeasible pairs into
-  /// Algorithm 1). Ablatable.
-  bool use_group_filter_bound = false;
-  /// Solve independent short-trip groups concurrently on ctx->pool. Groups
-  /// are batched into waves with pairwise-disjoint candidate-vehicle sets
-  /// (rider sets are disjoint by construction), so every group sees exactly
-  /// the schedules it would see serially and results stay bit-identical.
-  /// Effective only with base == kEfficientGreedy (BA consumes the shared
-  /// Rng) and use_group_filter_bound == true (the per-rider reverse
-  /// Dijkstra shares the vehicle index); otherwise groups run serially and
-  /// only the within-group evaluation is parallel.
-  bool parallel_groups = true;
 };
 
 /// Diagnostics of one GBS run.

@@ -35,7 +35,7 @@ struct QueueEntry {
 void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
                    const std::vector<RiderId>& riders,
                    const std::vector<int>& vehicles, GreedyObjective objective,
-                   UrrSolution* sol, const GroupFilter* group_filter) {
+                   UrrSolution* sol) {
   // Restrict the prefilter to the given vehicle subset.
   std::vector<bool> allowed(instance.vehicles.size(), false);
   for (int j : vehicles) allowed[static_cast<size_t>(j)] = true;
@@ -55,15 +55,8 @@ void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
     if (sol->assignment[static_cast<size_t>(i)] >= 0) continue;
     open.push_back(i);
   }
-  std::vector<std::vector<int>> candidates(open.size());
-  if (group_filter == nullptr) {
-    candidates = CandidateVehiclesForRiders(instance, ctx, open, &allowed);
-  } else {
-    for (size_t k = 0; k < open.size(); ++k) {
-      candidates[k] =
-          GroupCandidatesForRider(instance, ctx, open[k], vehicles, *group_filter);
-    }
-  }
+  const std::vector<std::vector<int>> candidates =
+      CandidateVehiclesForRiders(instance, ctx, open, &allowed);
   std::vector<RiderVehiclePair> pairs;
   for (size_t k = 0; k < open.size(); ++k) {
     for (int j : candidates[k]) pairs.push_back({open[k], j});

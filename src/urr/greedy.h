@@ -18,13 +18,10 @@ enum class GreedyObjective {
 
 /// Runs the greedy over the given rider/vehicle subsets, mutating `sol`
 /// (schedules grow, assignment fills in). Used directly by GBS per group.
-/// When `group_filter` is non-null, rider candidate sets come from the
-/// O(1) key-vertex bound (GBS's fast per-group filtering, Sec 6.2) instead
-/// of per-rider reverse Dijkstras.
 void GreedyArrange(const UrrInstance& instance, SolverContext* ctx,
                    const std::vector<RiderId>& riders,
                    const std::vector<int>& vehicles, GreedyObjective objective,
-                   UrrSolution* sol, const GroupFilter* group_filter = nullptr);
+                   UrrSolution* sol);
 
 /// EfficientGreedy over the whole instance.
 UrrSolution SolveEfficientGreedy(const UrrInstance& instance,

@@ -313,29 +313,4 @@ std::vector<int> CandidateVehiclesForRider(const UrrInstance& instance,
   return CandidateVehiclesForRiders(instance, ctx, {i}, allowed).front();
 }
 
-std::vector<int> GroupCandidatesForRider(const UrrInstance& instance,
-                                         const SolverContext* ctx, RiderId i,
-                                         const std::vector<int>& vehicles,
-                                         const GroupFilter& filter) {
-  // Group mode: O(1) lower-bound checks only; Algorithm 1 rejects the
-  // survivors that are actually infeasible.
-  const Rider& r = instance.riders[static_cast<size_t>(i)];
-  const Cost budget = r.pickup_deadline - instance.now;
-  std::vector<int> out;
-  for (int j : vehicles) {
-    const NodeId loc = instance.vehicles[static_cast<size_t>(j)].location;
-    const Cost key_lb =
-        (*filter.dist_to_key)[static_cast<size_t>(j)] - filter.slack;
-    if (key_lb > budget) continue;
-    if (ctx->euclid_speed > 0 && instance.network->has_coords()) {
-      const double lb = EuclideanDistance(instance.network->coord(loc),
-                                          instance.network->coord(r.source)) /
-                        ctx->euclid_speed;
-      if (lb > budget) continue;
-    }
-    out.push_back(j);
-  }
-  return out;
-}
-
 }  // namespace urr

@@ -81,10 +81,10 @@ struct SolverContext {
   Rng* rng = nullptr;
   /// Network max speed (Euclidean units per cost unit, RoadNetwork::
   /// MaxSpeed()). When > 0 and the network has coordinates, the insertion
-  /// kernel and GroupCandidatesForRider apply the admissible lower bound
-  /// euclid(u,v)/euclid_speed before exact shortest-path queries — the
-  /// paper's spatial-index prefilter. The bound only elides queries whose
-  /// outcome it decides, so results are identical with 0 (no bound).
+  /// kernel applies the admissible lower bound euclid(u,v)/euclid_speed
+  /// before exact shortest-path queries — the paper's spatial-index
+  /// prefilter. The bound only elides queries whose outcome it decides, so
+  /// results are identical with 0 (no bound).
   double euclid_speed = 0;
   /// Optional worker pool for the read-only candidate-evaluation phase.
   /// nullptr (the default) keeps every solver fully serial. Results are
@@ -178,18 +178,6 @@ std::vector<CandidateEval> EvaluateCandidates(
     const UrrInstance& instance, SolverContext* ctx, const UrrSolution& sol,
     const std::vector<RiderVehiclePair>& pairs, bool need_utility);
 
-/// Per-group candidate filter (GBS fast vehicle filtering, Sec 6.2): a
-/// vehicle j is a candidate for a rider with pickup budget B iff
-/// dist(l(c_j), u_x) - slack <= B, where u_x is the group's key vertex and
-/// slack bounds the rider-to-key distance (d_max * k). The distances come
-/// for free from the group's filtering Dijkstra, so the check is O(1).
-struct GroupFilter {
-  /// dist(l(c_j), key vertex) per vehicle; kInfiniteCost when unknown.
-  const std::vector<Cost>* dist_to_key = nullptr;
-  /// Upper bound on dist(s_i, key vertex) for riders of the group.
-  Cost slack = 0;
-};
-
 /// Valid vehicles per rider (the C_i lists): vehicles whose current location
 /// can reach s_i before rt⁻_i (Lemma 3.1 a+b as a prefilter), computed with
 /// one bounded reverse Dijkstra per rider via the vehicle index. When
@@ -214,17 +202,6 @@ std::vector<std::vector<int>> CandidateVehiclesForRiders(
 std::vector<int> CandidateVehiclesForRider(const UrrInstance& instance,
                                            const SolverContext* ctx, RiderId i,
                                            const std::vector<bool>* allowed);
-
-/// Group-mode candidate list for rider `i` over `vehicles`: O(1) per
-/// vehicle — the GroupFilter key-vertex lower bound, then (when
-/// ctx->euclid_speed > 0 and the network has coordinates) the Euclidean
-/// lower bound on the vehicle-to-source distance. Only provably infeasible
-/// vehicles are dropped; Algorithm 1 rejects the surviving infeasible ones.
-/// Shared by GreedyArrange and BilateralArrange.
-std::vector<int> GroupCandidatesForRider(const UrrInstance& instance,
-                                         const SolverContext* ctx, RiderId i,
-                                         const std::vector<int>& vehicles,
-                                         const GroupFilter& filter);
 
 }  // namespace urr
 

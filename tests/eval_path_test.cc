@@ -7,9 +7,7 @@
 //      copies and matches an apply-on-a-copy reference for Δcost and Δμ,
 //   4. schedule versions stamp exactly the observable mutations, which is
 //      what makes (rider, vehicle, version) a safe cache key,
-//   5. EvalCache lookup/store need_utility semantics,
-//   6. GroupCandidatesForRider's key-vertex and Euclidean rejection
-//      branches drop only provably infeasible vehicles.
+//   5. EvalCache lookup/store need_utility semantics.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -249,12 +247,8 @@ TEST_F(EvalPathFixture, VersionStampsObservableMutationsOnly) {
   // Process-unique: identically-constructed sequences never share a version.
   EXPECT_NE(a.version(), b.version());
 
-  // set_oracle leaves content identical -> no bump.
-  uint64_t v = a.version();
-  a.set_oracle(oracle_.get());
-  EXPECT_EQ(a.version(), v);
-
   // Insertions bump.
+  uint64_t v = a.version();
   ASSERT_TRUE(ArrangeSingleRider(&a, instance_.Trip(0)).ok());
   EXPECT_NE(a.version(), v);
   v = a.version();
@@ -331,53 +325,6 @@ TEST(EvalCacheTest, LookupRespectsVersionAndUtilityKind) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Lookup(3, 7, 200, false, &out));
-}
-
-// ---------------------------------------------------------------------------
-// 6: GroupCandidatesForRider rejection branches.
-// ---------------------------------------------------------------------------
-
-TEST_F(EvalPathFixture, GroupCandidatesKeyBoundRejectsOnlyProvablyInfeasible) {
-  // Rider 0: source node 1, pickup budget 200. Key-vertex lower bounds of
-  // 250 (vehicle 0) and 10 (vehicle 1) with slack 30: only vehicle 0's
-  // bound (220) exceeds the budget.
-  const std::vector<Cost> dist_to_key = {250, 10};
-  GroupFilter filter;
-  filter.dist_to_key = &dist_to_key;
-  filter.slack = 30;
-  SolverContext ctx = Context();
-  ctx.euclid_speed = 0;  // isolate the key-bound branch
-  const std::vector<int> all = {0, 1};
-  EXPECT_EQ(GroupCandidatesForRider(instance_, &ctx, 0, all, filter),
-            (std::vector<int>{1}));
-
-  // Slack large enough to absorb the bound keeps both.
-  filter.slack = 60;
-  EXPECT_EQ(GroupCandidatesForRider(instance_, &ctx, 0, all, filter),
-            (std::vector<int>{0, 1}));
-}
-
-TEST_F(EvalPathFixture, GroupCandidatesEuclideanBoundNeedsSpeedAndCoords) {
-  // Permissive key bound; rider 0 at node 1 with budget 200. Vehicle 1
-  // sits at node 5: straight-line 40 at MaxSpeed 1 -> lower bound 40.
-  const std::vector<Cost> dist_to_key = {0, 0};
-  GroupFilter filter;
-  filter.dist_to_key = &dist_to_key;
-  filter.slack = 0;
-  const std::vector<int> all = {0, 1};
-
-  UrrInstance tight = instance_;
-  tight.riders[0].pickup_deadline = 30;  // budget 30 < vehicle-1 bound 40
-  SolverContext ctx = Context();
-  ASSERT_GT(ctx.euclid_speed, 0);
-  EXPECT_EQ(GroupCandidatesForRider(tight, &ctx, 0, all, filter),
-            (std::vector<int>{0}));
-
-  // euclid_speed = 0 disables the branch: the far vehicle survives to the
-  // exact kernel instead of being screened.
-  ctx.euclid_speed = 0;
-  EXPECT_EQ(GroupCandidatesForRider(tight, &ctx, 0, all, filter),
-            (std::vector<int>{0, 1}));
 }
 
 }  // namespace

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "exp/harness.h"
 #include "urr/greedy.h"
 
 namespace urr {
 namespace {
 
-std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42) {
+std::unique_ptr<ExperimentWorld> SmallWorld(uint64_t seed = 42,
+                                            int threads = 1) {
   ExperimentConfig cfg;
+  cfg.num_threads = threads;
   cfg.city_nodes = 1500;
   cfg.num_social_users = 300;
   cfg.num_trip_records = 1500;
@@ -81,37 +86,6 @@ TEST(GbsTest, ClassifiesShortAndLongTrips) {
   EXPECT_GT(stats.num_long_trips, world->instance.num_riders() / 2);
 }
 
-TEST(GbsTest, FinalPassNeverLosesAssignments) {
-  auto world = SmallWorld(7);
-  SolverContext ctx = world->Context();
-  GbsOptions with = world->config.gbs;
-  with.final_pass = true;
-  GbsOptions without = world->config.gbs;
-  without.final_pass = false;
-  auto pre = PrepareGbs(world->instance, &ctx, with);
-  ASSERT_TRUE(pre.ok());
-  Rng rng1(5), rng2(5);
-  SolverContext c1 = world->Context();
-  c1.rng = &rng1;
-  SolverContext c2 = world->Context();
-  c2.rng = &rng2;
-  auto sol_with = SolveGbs(world->instance, &c1, with, *pre);
-  auto sol_without = SolveGbs(world->instance, &c2, without, *pre);
-  ASSERT_TRUE(sol_with.ok() && sol_without.ok());
-  EXPECT_GE(sol_with->NumAssigned(), sol_without->NumAssigned());
-}
-
-TEST(GbsTest, GroupFilterBoundVariantStaysValid) {
-  auto world = SmallWorld(9);
-  SolverContext ctx = world->Context();
-  GbsOptions opt = world->config.gbs;
-  opt.use_group_filter_bound = true;
-  auto sol = SolveGbs(world->instance, &ctx, opt);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_TRUE(sol->Validate(world->instance).ok());
-  EXPECT_GT(sol->NumAssigned(), 0);
-}
-
 TEST(GbsTest, AutoKPicksACandidate) {
   auto world = SmallWorld();
   SolverContext ctx = world->Context();
@@ -123,20 +97,41 @@ TEST(GbsTest, AutoKPicksACandidate) {
   EXPECT_LE(pre->k, 8);
 }
 
-TEST(GbsTest, GroupOrderVariantsAllValid) {
-  auto world = SmallWorld(13);
-  SolverContext ctx = world->Context();
-  auto pre = PrepareGbs(world->instance, &ctx, world->config.gbs);
-  ASSERT_TRUE(pre.ok());
-  for (GbsGroupOrder order :
-       {GbsGroupOrder::kLargestFirst, GbsGroupOrder::kSmallestFirst,
-        GbsGroupOrder::kRandom}) {
+TEST(GbsTest, IdenticalAcrossThreadCounts) {
+  // Candidate retrieval and evaluation fan out over the pool; the grouping,
+  // the group order and every commit stay serial, so both bases must build
+  // the same schedules bit for bit at any thread count.
+  auto solve = [](GbsBase base, int threads) {
+    auto world = SmallWorld(17, threads);
+    if (threads > 1) {
+      EXPECT_NE(world->Context().eval_pool(), nullptr);
+    }
+    SolverContext ctx = world->Context();
+    Rng rng(3);
+    ctx.rng = &rng;
     GbsOptions opt = world->config.gbs;
-    opt.group_order = order;
-    auto sol = SolveGbs(world->instance, &ctx, opt, *pre);
-    ASSERT_TRUE(sol.ok());
+    opt.base = base;
+    auto sol = SolveGbs(world->instance, &ctx, opt);
+    EXPECT_TRUE(sol.ok()) << sol.status();
+    if (!sol.ok()) return std::string();
     EXPECT_TRUE(sol->Validate(world->instance).ok());
-    EXPECT_GT(sol->NumAssigned(), 0);
+    std::ostringstream os;
+    os << std::hexfloat;  // exact doubles: equality means bit-identity
+    for (int a : sol->assignment) os << a << ',';
+    for (const TransferSequence& seq : sol->schedules) {
+      os << '/';
+      for (int u = 0; u < seq.num_stops(); ++u) {
+        os << seq.stop(u).rider << ':' << seq.stop(u).location << ';';
+      }
+    }
+    os << '|' << sol->TotalCost() << '|' << sol->TotalUtility(world->model);
+    return os.str();
+  };
+  for (GbsBase base : {GbsBase::kEfficientGreedy, GbsBase::kBilateral}) {
+    SCOPED_TRACE(base == GbsBase::kBilateral ? "GBS+BA" : "GBS+EG");
+    const std::string serial = solve(base, 1);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial, solve(base, 4));
   }
 }
 

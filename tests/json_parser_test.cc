@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace urr {
@@ -42,6 +44,22 @@ TEST(JsonParserTest, AccessorsFallBackOnTypeMismatch) {
   EXPECT_TRUE(v->GetBool("b", false));
   EXPECT_FALSE(v->GetBool("n", false));
   EXPECT_EQ(v->GetInt("absent", 42), 42);
+}
+
+TEST(JsonParserTest, GetIntFallsBackOnNumbersOutsideInt64) {
+  auto v = ParseJson(
+      R"({"huge": 1e300, "low": -1e300, "frac": 3.7, "edge": 9223372036854775808,)"
+      R"( "min": -9223372036854775808, "exp": 2e1})");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->GetInt("huge", -7), -7);
+  EXPECT_EQ(v->GetInt("low", -7), -7);
+  EXPECT_EQ(v->GetInt("frac", -7), -7);
+  EXPECT_EQ(v->GetInt("edge", -7), -7);  // 2^63 is one past int64
+  EXPECT_EQ(v->GetInt("min", -7), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(v->GetInt("exp", -7), 20);
+  int64_t out = 5;
+  EXPECT_FALSE(v->Find("huge")->AsInt64(&out));
+  EXPECT_EQ(out, 5);  // untouched on failure
 }
 
 TEST(JsonParserTest, DecodesStringEscapes) {

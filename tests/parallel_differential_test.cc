@@ -1,8 +1,7 @@
-// Serial-vs-parallel differential suite: every solver (CF, EG, BA, GBS+EG,
-// GBS+EG with the group-filter bound — the wave-parallel path — and GBS+BA)
-// must produce a byte-identical solution with 1, 2 and 8 evaluation
-// threads: same assignment vector, same stop sequences, same total utility
-// and travel cost down to the last bit. Covered on generator city graphs
+// Serial-vs-parallel differential suite: every solver (CF, EG, BA, GBS+EG
+// and GBS+BA) must produce a byte-identical solution with 1, 2 and 8
+// evaluation threads: same assignment vector, same stop sequences, same
+// total utility and travel cost down to the last bit. Covered on generator city graphs
 // (via the experiment harness, hub labels) and on grid graphs (hand-built
 // world, DijkstraOracle, AttachThreadPool wiring), across varying
 // capacities and deadline ranges.
@@ -59,7 +58,7 @@ std::string Fingerprint(const UrrSolution& sol, const UtilityModel& model) {
   return os.str();
 }
 
-enum class Variant { kCf, kEg, kBa, kGbsEg, kGbsEgFilter, kGbsBa };
+enum class Variant { kCf, kEg, kBa, kGbsEg, kGbsBa };
 
 const char* VariantName(Variant v) {
   switch (v) {
@@ -71,8 +70,6 @@ const char* VariantName(Variant v) {
       return "BA";
     case Variant::kGbsEg:
       return "GBS+EG";
-    case Variant::kGbsEgFilter:
-      return "GBS+EG/filter";
     case Variant::kGbsBa:
       return "GBS+BA";
   }
@@ -89,12 +86,10 @@ UrrSolution SolveVariant(const UrrInstance& instance, SolverContext* ctx,
     case Variant::kBa:
       return SolveBilateral(instance, ctx);
     case Variant::kGbsEg:
-    case Variant::kGbsEgFilter:
     case Variant::kGbsBa: {
       GbsOptions opt = gbs;
       opt.base =
           v == Variant::kGbsBa ? GbsBase::kBilateral : GbsBase::kEfficientGreedy;
-      opt.use_group_filter_bound = v == Variant::kGbsEgFilter;
       auto sol = SolveGbs(instance, ctx, opt);
       EXPECT_TRUE(sol.ok()) << sol.status();
       return sol.ok() ? *std::move(sol) : UrrSolution{};
@@ -105,8 +100,8 @@ UrrSolution SolveVariant(const UrrInstance& instance, SolverContext* ctx,
 
 const std::vector<Variant>& AllVariants() {
   static const std::vector<Variant> kAll = {
-      Variant::kCf,    Variant::kEg,          Variant::kBa,
-      Variant::kGbsEg, Variant::kGbsEgFilter, Variant::kGbsBa};
+      Variant::kCf, Variant::kEg, Variant::kBa, Variant::kGbsEg,
+      Variant::kGbsBa};
   return kAll;
 }
 
@@ -331,7 +326,7 @@ TEST(ParallelDifferentialTest, GridWorldsIdenticalAcrossThreadCounts) {
 }
 
 // The exactness contract for the evaluation path: the Euclidean bound
-// (kernel screening and group filtering) and the (rider, vehicle, version)
+// (kernel screening) and the (rider, vehicle, version)
 // eval cache — individually and combined — give byte-identical solutions
 // to the unbounded (euclid_speed = 0), uncached baseline at 1, 2 and 8
 // threads, for every solver.
@@ -481,7 +476,7 @@ TEST(ParallelDifferentialTest, SnapshotLoadedWorldsIdenticalToFreshBuild) {
 
     ExperimentConfig loaded_cfg = scenario.cfg;
     loaded_cfg.index_snapshot = path;
-    for (Variant v : {Variant::kEg, Variant::kGbsEgFilter}) {
+    for (Variant v : {Variant::kEg, Variant::kGbsEg}) {
       SCOPED_TRACE(std::string(scenario.name) + " / " + VariantName(v));
       const std::string fresh = RunOnWorld(scenario.cfg, v, 1);
       ASSERT_FALSE(fresh.empty());

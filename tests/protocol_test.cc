@@ -175,6 +175,35 @@ TEST(ParseRequestTest, RejectsIdsThatAreNotInt32Integers) {
   EXPECT_EQ(vehicle->vehicle, 20);
 }
 
+TEST(ParseRequestTest, RejectsIntegerFieldsThatAreNotInt64Integers) {
+  // id, req_id, offset and limit are optional, but when present they must
+  // be integral numbers within int64: no truncation, no out-of-range cast.
+  for (const std::string bad :
+       {"3.7", "1e300", "-1e300", "1e999", "9223372036854775808", "\"7\""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParseRequest(R"({"op":"metrics","id":)" + bad + "}").ok());
+    EXPECT_FALSE(
+        ParseRequest(R"({"op":"tick","time":1,"req_id":)" + bad + "}").ok());
+    EXPECT_FALSE(
+        ParseRequest(R"({"op":"workload","offset":)" + bad + "}").ok());
+    EXPECT_FALSE(ParseRequest(R"({"op":"workload","limit":)" + bad + "}").ok());
+  }
+  auto absent = ParseRequest(R"({"op":"workload"})");
+  ASSERT_TRUE(absent.ok()) << absent.status();
+  EXPECT_EQ(absent->id, -1);
+  EXPECT_EQ(absent->req_id, -1);
+  EXPECT_EQ(absent->offset, 0);
+  EXPECT_EQ(absent->limit, 0);
+  auto ok = ParseRequest(
+      R"({"op":"workload","id":2e1,"req_id":-9223372036854775808,)"
+      R"("offset":4.0,"limit":9007199254740992})");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->id, 20);
+  EXPECT_EQ(ok->req_id, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ok->offset, 4);
+  EXPECT_EQ(ok->limit, int64_t{1} << 53);
+}
+
 TEST(ErrorResponseTest, CarriesIdCodeAndMessage) {
   auto v = ParseJson(ErrorResponse(9, 400, "bad \"frame\""));
   ASSERT_TRUE(v.ok()) << v.status();

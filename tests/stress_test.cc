@@ -198,7 +198,6 @@ TEST_P(StressTest, MultiThreadedSolvesAreDeterministic) {
       GbsOptions gopt;
       gopt.k = 3;
       gopt.d_max = 200;
-      gopt.use_group_filter_bound = true;  // enables the wave-parallel path
       auto gbs = SolveGbs(w->instance, &ctx, gopt);
       EXPECT_TRUE(gbs.ok()) << gbs.status();
       if (gbs.ok()) sols.push_back(*std::move(gbs));

@@ -4,8 +4,8 @@
 #
 #   tools/run_tsan.sh [build-dir]
 #
-# Any data race in the pool, the per-worker oracle wiring, or the GBS wave
-# solver shows up here even on a single-core host. Swap 'thread' for
+# Any data race in the pool, the per-worker oracle wiring, or the parallel
+# candidate retrieval and evaluation shows up here even on a single-core host. Swap 'thread' for
 # 'address' below (or configure -DURR_SANITIZE=address yourself) for ASan.
 set -euo pipefail
 
