@@ -27,10 +27,9 @@ namespace {
 
 constexpr char kMagic[] = "urrckpt";
 // Version history:
-//   1 — original format (PR 5).
+//   1 — original format.
 //   2 — adds the "index" provenance line (snapshot checksum + path) right
-//       after the header. Restore still accepts version 1 when the engine
-//       was not configured with a snapshot.
+//       after the header. Only version 2 restores.
 constexpr int kVersion = 2;
 
 void AppendNum(std::string* out, double v) {
@@ -303,34 +302,26 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
     return Status::InvalidArgument("not a checkpoint (missing '" +
                                    std::string(kMagic) + "' header)");
   }
-  if (version != kVersion && version != 1) {
+  if (version != kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version " +
                                    std::to_string(version));
   }
-  if (version >= 2) {
-    URR_RETURN_NOT_OK(ExpectTag(in, "index"));
-    uint64_t checksum = 0;
-    std::string path;
-    in >> checksum;
-    std::getline(in, path);
-    URR_RETURN_NOT_OK(CheckStream(in, "index"));
-    if (!path.empty() && path.front() == ' ') path.erase(0, 1);
-    if (path == "-") path.clear();
-    if (path != config_.index_snapshot_path ||
-        checksum != config_.index_snapshot_checksum) {
-      return Status::InvalidArgument(
-          "checkpoint was taken against index snapshot '" + path +
-          "' (checksum " + std::to_string(checksum) +
-          ") but this engine uses '" + config_.index_snapshot_path +
-          "' (checksum " +
-          std::to_string(config_.index_snapshot_checksum) +
-          "); replaying across different preprocessing is unsafe");
-    }
-  } else if (!config_.index_snapshot_path.empty()) {
+  URR_RETURN_NOT_OK(ExpectTag(in, "index"));
+  uint64_t checksum = 0;
+  std::string path;
+  in >> checksum;
+  std::getline(in, path);
+  URR_RETURN_NOT_OK(CheckStream(in, "index"));
+  if (!path.empty() && path.front() == ' ') path.erase(0, 1);
+  if (path == "-") path.clear();
+  if (path != config_.index_snapshot_path ||
+      checksum != config_.index_snapshot_checksum) {
     return Status::InvalidArgument(
-        "version-1 checkpoint carries no index provenance but this engine "
-        "was loaded from snapshot '" +
-        config_.index_snapshot_path + "'");
+        "checkpoint was taken against index snapshot '" + path +
+        "' (checksum " + std::to_string(checksum) +
+        ") but this engine uses '" + config_.index_snapshot_path +
+        "' (checksum " + std::to_string(config_.index_snapshot_checksum) +
+        "); replaying across different preprocessing is unsafe");
   }
   // Every id is range-checked against the network and the instance before
   // anything is sized or indexed with it.
@@ -589,6 +580,9 @@ Status DispatchEngine::Restore(const std::string& checkpoint) {
   }
   if (!std::getline(in, line) || line != "end") {
     return Status::InvalidArgument("checkpoint: missing 'end' trailer");
+  }
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return Status::InvalidArgument("checkpoint: bytes after the 'end' trailer");
   }
   restored_ = true;
   return Status::OK();

@@ -394,7 +394,7 @@ Result<DispatchEngine::SubmitOutcome> DispatchEngine::SubmitLive(RiderId rider,
   }
   const int64_t seq = next_seq_;
   Push(time, kRankArrival, rider);
-  last_reject_ = EngineReject::kNone;
+  last_reject_ = RejectReason::kNone;
   URR_RETURN_NOT_OK(PumpThrough(time, kRankArrival, seq));
   SubmitOutcome out;
   switch (state_[i]) {
@@ -633,36 +633,13 @@ void DispatchEngine::HandleArrival(const Pending& e) {
     // Per-arrival degenerate mode: the EvaluateArrival decision rule,
     // committed immediately.
     Stopwatch watch;
-    const DispatchDecision d = EvaluateArrival(instance_, &ctx_, solution_, r,
-                                               config_.online_objective);
-    if (d.accepted) {
-      TransferSequence& seq =
-          solution_.schedules[static_cast<size_t>(d.vehicle)];
-      if (ApplyInsertion(&seq, instance_.Trip(r), d.plan).ok()) {
-        solution_.assignment[static_cast<size_t>(r)] = d.vehicle;
-        CommitRider(e.time, r, d.vehicle);
-        metrics_.solve_latencies.push_back(watch.ElapsedSeconds());
-        return;
-      }
-    }
+    const RejectReason reason = DispatchNow(e.time, r);
     metrics_.solve_latencies.push_back(watch.ElapsedSeconds());
+    if (reason == RejectReason::kNone) return;
     state_[static_cast<size_t>(r)] = RiderState::kRejected;
     log_.push_back({e.time, EventType::kRejected, r, -1});
     ++metrics_.total_rejected;
-    // Per-reason accounting: EvaluateArrival's verdict, or kDeadline when
-    // an accepted plan failed to apply (the insertion no longer fits).
-    switch (d.reason) {
-      case RejectReason::kNoReachableVehicle:
-        last_reject_ = EngineReject::kNoReachableVehicle;
-        break;
-      case RejectReason::kCapacity:
-        last_reject_ = EngineReject::kCapacity;
-        break;
-      case RejectReason::kDeadline:
-      case RejectReason::kNone:
-        last_reject_ = EngineReject::kDeadline;
-        break;
-    }
+    last_reject_ = reason;
     metrics_.rejects.Bump(last_reject_);
     return;
   }
@@ -673,7 +650,7 @@ void DispatchEngine::HandleArrival(const Pending& e) {
     state_[static_cast<size_t>(r)] = RiderState::kRejected;
     log_.push_back({e.time, EventType::kRejected, r, -1});
     ++metrics_.total_rejected;
-    last_reject_ = EngineReject::kQueueFull;
+    last_reject_ = RejectReason::kQueueFull;
     metrics_.rejects.Bump(last_reject_);
     return;
   }
@@ -910,18 +887,7 @@ void DispatchEngine::HandleRedispatch(const Pending& e) {
   if (config_.window <= 0) {
     // Per-arrival mode: one immediate attempt, abandoned on failure so the
     // rider still terminates in exactly one terminal state.
-    const DispatchDecision d = EvaluateArrival(instance_, &ctx_, solution_, r,
-                                               config_.online_objective);
-    if (d.accepted) {
-      TransferSequence& seq =
-          solution_.schedules[static_cast<size_t>(d.vehicle)];
-      if (ApplyInsertion(&seq, instance_.Trip(r), d.plan).ok()) {
-        solution_.assignment[static_cast<size_t>(r)] = d.vehicle;
-        CommitRider(e.time, r, d.vehicle);
-        return;
-      }
-    }
-    Abandon(r, e.time);
+    if (DispatchNow(e.time, r) != RejectReason::kNone) Abandon(r, e.time);
     return;
   }
   state_[static_cast<size_t>(r)] = RiderState::kQueued;
@@ -1056,6 +1022,19 @@ Status DispatchEngine::SolveWindow(Cost t) {
   wm.fleet_utilization = FleetUtilization();
   metrics_.windows.push_back(wm);
   return Status::OK();
+}
+
+RejectReason DispatchEngine::DispatchNow(Cost t, RiderId rider) {
+  const DispatchDecision d = EvaluateArrival(instance_, &ctx_, solution_,
+                                             rider, config_.online_objective);
+  if (!d.accepted) return d.reason;
+  TransferSequence& seq = solution_.schedules[static_cast<size_t>(d.vehicle)];
+  if (!ApplyInsertion(&seq, instance_.Trip(rider), d.plan).ok()) {
+    return RejectReason::kDeadline;  // the chosen insertion no longer fits
+  }
+  solution_.assignment[static_cast<size_t>(rider)] = d.vehicle;
+  CommitRider(t, rider, d.vehicle);
+  return RejectReason::kNone;
 }
 
 void DispatchEngine::CommitRider(Cost t, RiderId rider, int vehicle) {

@@ -149,7 +149,7 @@ class DispatchEngine {
     bool queued = false;     // accepted into the dispatch queue (W > 0)
     bool assigned = false;   // committed immediately (W == 0 path)
     int vehicle = -1;        // the committing vehicle when assigned
-    EngineReject reject = EngineReject::kNone;  // set when turned away
+    RejectReason reject = RejectReason::kNone;  // set when turned away
   };
 
   /// Injects rider `rider` arriving at `time`. The rider's pickup/dropoff
@@ -340,6 +340,11 @@ class DispatchEngine {
   /// Removes the rider's booked utility and assignment (fault repair).
   void Unbook(RiderId rider);
   Status SolveWindow(Cost t);
+  /// W = 0: evaluates `rider` with EvaluateArrival, applies the best
+  /// insertion and commits it at `t`. Returns kNone when the rider is
+  /// assigned, otherwise why not (kDeadline when the chosen insertion no
+  /// longer applies).
+  RejectReason DispatchNow(Cost t, RiderId rider);
   void CommitRider(Cost t, RiderId rider, int vehicle);
   double FleetUtilization() const;
 
@@ -392,7 +397,7 @@ class DispatchEngine {
   bool live_ = false;      // BeginLive() opened a live session
   bool closing_ = false;   // FinishLive() is draining the queue
   bool finished_ = false;  // FinishRun() ran (batch or live)
-  EngineReject last_reject_ = EngineReject::kNone;  // latest arrival verdict
+  RejectReason last_reject_ = RejectReason::kNone;  // latest arrival verdict
   std::vector<Cost> recorded_arrival_;  // per-rider recorded arrival time
 
   friend struct EngineCheckpointAccess;  // engine/checkpoint.cc

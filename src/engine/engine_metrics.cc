@@ -7,27 +7,6 @@
 
 namespace urr {
 
-const char* EngineRejectName(EngineReject reject) {
-  switch (reject) {
-    case EngineReject::kNone: return "none";
-    case EngineReject::kNoReachableVehicle: return "no_reachable_vehicle";
-    case EngineReject::kCapacity: return "capacity";
-    case EngineReject::kDeadline: return "deadline";
-    case EngineReject::kQueueFull: return "queue_full";
-  }
-  return "unknown";
-}
-
-void RejectCounts::Bump(EngineReject reject) {
-  switch (reject) {
-    case EngineReject::kNone: break;
-    case EngineReject::kNoReachableVehicle: ++no_reachable_vehicle; break;
-    case EngineReject::kCapacity: ++capacity; break;
-    case EngineReject::kDeadline: ++deadline; break;
-    case EngineReject::kQueueFull: ++queue_full; break;
-  }
-}
-
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sched/transfer_sequence.h"
+#include "urr/online.h"
 
 namespace urr {
 
@@ -29,34 +30,6 @@ struct WindowMetrics {
   double retrieval_seconds = 0;
   int retrieval_candidates = 0;
   double fleet_utilization = 0;  // busy vehicles / fleet size at window end
-};
-
-/// Why the engine turned an arrival away: the dispatch-level reasons
-/// (RejectReason, W = 0 per-arrival mode) plus the admission-control
-/// overflow. Reported per response by the dispatch service and aggregated
-/// in EngineMetrics.
-enum class EngineReject : uint8_t {
-  kNone = 0,
-  kNoReachableVehicle,  // no vehicle can reach the pickup by its deadline
-  kCapacity,            // reachable vehicles are full at every position
-  kDeadline,            // insertions exist but all violate time windows
-  kQueueFull,           // admission control: max_queue exceeded
-};
-
-/// Stable snake_case name ("queue_full", ...) used in JSON and responses.
-const char* EngineRejectName(EngineReject reject);
-
-/// Per-reason rejection counters (see EngineReject).
-struct RejectCounts {
-  int no_reachable_vehicle = 0;
-  int capacity = 0;
-  int deadline = 0;
-  int queue_full = 0;
-
-  void Bump(EngineReject reject);
-  int total() const {
-    return no_reachable_vehicle + capacity + deadline + queue_full;
-  }
 };
 
 /// Whole-run aggregates.

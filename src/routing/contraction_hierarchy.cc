@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 #include <queue>
 
@@ -25,6 +24,18 @@ struct OverlayEdge {
   Cost cost;
 };
 
+/// Appends an edge to `key` with cost `c` to `list`, or lowers the cost of
+/// the edge to `key` already there to `c` when that is smaller.
+void Upsert(std::vector<OverlayEdge>* list, NodeId key, Cost c) {
+  for (auto& e : *list) {
+    if (e.to == key) {
+      e.cost = std::min(e.cost, c);
+      return;
+    }
+  }
+  list->push_back({key, c});
+}
+
 /// Mutable overlay graph used during contraction. Adjacency lists hold
 /// uncontracted nodes only: Detach drops a node from its neighbors' lists
 /// as it is contracted.
@@ -34,17 +45,8 @@ struct Overlay {
 
   /// Inserts or relaxes edge u -> v with `cost` in both adjacency mirrors.
   void UpsertEdge(NodeId u, NodeId v, Cost cost) {
-    auto upsert = [](std::vector<OverlayEdge>* list, NodeId key, Cost c) {
-      for (auto& e : *list) {
-        if (e.to == key) {
-          e.cost = std::min(e.cost, c);
-          return;
-        }
-      }
-      list->push_back({key, c});
-    };
-    upsert(&out[static_cast<size_t>(u)], v, cost);
-    upsert(&in[static_cast<size_t>(v)], u, cost);
+    Upsert(&out[static_cast<size_t>(u)], v, cost);
+    Upsert(&in[static_cast<size_t>(v)], u, cost);
   }
 
   /// Removes contracted `v` from its neighbors' lists and releases its own.
@@ -174,7 +176,6 @@ struct Shortcut {
   NodeId from;
   NodeId to;
   Cost cost;
-  NodeId middle = kInvalidNode;  // contracted node the shortcut skips
 };
 
 /// Enumerates the shortcuts contraction of `v` would require, in (u, w)
@@ -201,7 +202,7 @@ int SimulateContraction(const Overlay& overlay, NodeId v, WitnessSearch* witness
       if (witness->witnessed(k)) continue;
       ++shortcuts;
       if (apply != nullptr) {
-        apply->push_back({u, out[k].to, ein.cost + out[k].cost, v});
+        apply->push_back({u, out[k].to, ein.cost + out[k].cost});
       }
     }
   }
@@ -243,7 +244,7 @@ Result<ContractionHierarchy> ContractionHierarchy::Build(
   std::vector<Shortcut> all_edges;
   for (NodeId v = 0; v < n; ++v) {
     for (const auto& e : overlay.out[static_cast<size_t>(v)]) {
-      all_edges.push_back({v, e.to, e.cost, kInvalidNode});
+      all_edges.push_back({v, e.to, e.cost});
     }
   }
 
@@ -375,153 +376,32 @@ Result<ContractionHierarchy> ContractionHierarchy::Build(
   // Deduplicate parallel edges keeping minimum cost (UpsertEdge already
   // relaxes overlay edges, but all_edges may hold superseded copies).
   // Partition into upward (by tail) and downward-reversed (by head).
-  struct PackedEdge {
-    NodeId to;
-    Cost cost;
-    NodeId middle;
-  };
-  std::vector<std::vector<PackedEdge>> up(nu), down(nu);
-  auto upsert = [](std::vector<PackedEdge>* list, NodeId key, Cost c,
-                   NodeId middle) {
-    for (auto& e : *list) {
-      if (e.to == key) {
-        if (c < e.cost) {
-          e.cost = c;
-          e.middle = middle;  // the middle must follow the surviving cost
-        }
-        return;
-      }
-    }
-    list->push_back({key, c, middle});
-  };
+  std::vector<std::vector<OverlayEdge>> up(nu), down(nu);
   for (const auto& e : all_edges) {
     if (ch.rank_[static_cast<size_t>(e.from)] < ch.rank_[static_cast<size_t>(e.to)]) {
-      upsert(&up[static_cast<size_t>(e.from)], e.to, e.cost, e.middle);
+      Upsert(&up[static_cast<size_t>(e.from)], e.to, e.cost);
     } else {
-      upsert(&down[static_cast<size_t>(e.to)], e.from, e.cost, e.middle);
+      Upsert(&down[static_cast<size_t>(e.to)], e.from, e.cost);
     }
   }
-  auto pack = [nu](const std::vector<std::vector<PackedEdge>>& adj,
+  auto pack = [nu](const std::vector<std::vector<OverlayEdge>>& adj,
                    std::vector<int64_t>* begin, std::vector<NodeId>* to,
-                   std::vector<Cost>* cost, std::vector<NodeId>* middle) {
+                   std::vector<Cost>* cost) {
     begin->assign(nu + 1, 0);
     for (size_t v = 0; v < nu; ++v) (*begin)[v + 1] = (*begin)[v] + static_cast<int64_t>(adj[v].size());
     to->resize(static_cast<size_t>((*begin)[nu]));
     cost->resize(static_cast<size_t>((*begin)[nu]));
-    middle->resize(static_cast<size_t>((*begin)[nu]));
     for (size_t v = 0; v < nu; ++v) {
       int64_t slot = (*begin)[v];
       for (const auto& e : adj[v]) {
         (*to)[static_cast<size_t>(slot)] = e.to;
         (*cost)[static_cast<size_t>(slot)] = e.cost;
-        (*middle)[static_cast<size_t>(slot)] = e.middle;
         ++slot;
       }
     }
   };
-  pack(up, &ch.up_begin_, &ch.up_to_, &ch.up_cost_, &ch.up_middle_);
-  pack(down, &ch.down_begin_, &ch.down_to_, &ch.down_cost_, &ch.down_middle_);
-  return ch;
-}
-
-void ContractionHierarchy::Serialize(BinaryWriter* writer) const {
-  writer->WriteI32(num_nodes_);
-  writer->WriteVector(rank_);
-  writer->WriteVector(up_begin_);
-  writer->WriteVector(up_to_);
-  writer->WriteVector(up_cost_);
-  writer->WriteVector(up_middle_);
-  writer->WriteVector(down_begin_);
-  writer->WriteVector(down_to_);
-  writer->WriteVector(down_cost_);
-  writer->WriteVector(down_middle_);
-}
-
-namespace {
-
-/// Validates one serialized CSR half of a hierarchy: array sizes agree,
-/// offsets are monotone from 0, heads and middles are in range, costs are
-/// finite and non-negative, and every stored edge climbs ranks (both
-/// halves store edges tail -> head with rank[head] > rank[tail]).
-Status ValidateChCsr(const char* what, NodeId n,
-                     const std::vector<int32_t>& rank,
-                     const std::vector<int64_t>& begin,
-                     const std::vector<NodeId>& to,
-                     const std::vector<Cost>& cost,
-                     const std::vector<NodeId>& middle) {
-  const auto nu = static_cast<size_t>(n);
-  auto err = [what](const std::string& msg) {
-    return Status::InvalidArgument(std::string("hierarchy ") + what + ": " +
-                                   msg);
-  };
-  if (begin.size() != nu + 1) return err("offset array size mismatch");
-  if (begin.front() != 0) return err("offsets must start at 0");
-  for (size_t v = 0; v < nu; ++v) {
-    if (begin[v + 1] < begin[v]) {
-      return err("offsets not monotone at node " + std::to_string(v));
-    }
-  }
-  const auto ne = static_cast<size_t>(begin.back());
-  if (to.size() != ne || cost.size() != ne || middle.size() != ne) {
-    return err("edge arrays disagree with offsets");
-  }
-  for (size_t v = 0; v < nu; ++v) {
-    for (int64_t i = begin[v]; i < begin[v + 1]; ++i) {
-      const NodeId w = to[static_cast<size_t>(i)];
-      const NodeId m = middle[static_cast<size_t>(i)];
-      if (w < 0 || w >= n) return err("edge head out of range");
-      if (m != kInvalidNode && (m < 0 || m >= n)) {
-        return err("shortcut middle out of range");
-      }
-      const Cost c = cost[static_cast<size_t>(i)];
-      if (!std::isfinite(c) || !(c >= 0)) {
-        return err("edge cost must be finite, non-negative");
-      }
-      if (rank[v] >= rank[static_cast<size_t>(w)]) {
-        return err("edge does not climb ranks at node " + std::to_string(v));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<ContractionHierarchy> ContractionHierarchy::Deserialize(
-    BinaryReader* reader) {
-  ContractionHierarchy ch;
-  int32_t n = 0;
-  URR_RETURN_NOT_OK(reader->ReadI32(&n));
-  if (n < 0) return Status::InvalidArgument("hierarchy: negative node count");
-  ch.num_nodes_ = n;
-  const auto nu = static_cast<size_t>(n);
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.rank_, nu));
-  if (ch.rank_.size() != nu) {
-    return Status::InvalidArgument("hierarchy: rank array size mismatch");
-  }
-  std::vector<bool> seen(nu, false);
-  for (const int32_t r : ch.rank_) {
-    if (r < 0 || r >= n || seen[static_cast<size_t>(r)]) {
-      return Status::InvalidArgument("hierarchy: ranks are not a permutation");
-    }
-    seen[static_cast<size_t>(r)] = true;
-  }
-  // Edge counts are bounded by what the payload can physically hold; the
-  // per-read cap stops a corrupted length before any allocation.
-  const uint64_t max_edges = reader->remaining() / sizeof(NodeId);
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.up_begin_, nu + 1));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.up_to_, max_edges));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.up_cost_, max_edges));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.up_middle_, max_edges));
-  URR_RETURN_NOT_OK(ValidateChCsr("up", n, ch.rank_, ch.up_begin_, ch.up_to_,
-                                  ch.up_cost_, ch.up_middle_));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.down_begin_, nu + 1));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.down_to_, max_edges));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.down_cost_, max_edges));
-  URR_RETURN_NOT_OK(reader->ReadVector(&ch.down_middle_, max_edges));
-  URR_RETURN_NOT_OK(ValidateChCsr("down", n, ch.rank_, ch.down_begin_,
-                                  ch.down_to_, ch.down_cost_,
-                                  ch.down_middle_));
+  pack(up, &ch.up_begin_, &ch.up_to_, &ch.up_cost_);
+  pack(down, &ch.down_begin_, &ch.down_to_, &ch.down_cost_);
   return ch;
 }
 

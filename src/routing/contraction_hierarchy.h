@@ -1,15 +1,15 @@
 // Contraction Hierarchies (Geisberger et al.) as a build step: contraction
 // ranks every node and adds the shortcuts that keep upward searches exact.
-// The hierarchy answers no queries itself; HubLabels::Build extracts the
-// production distance labels from it (routing/hub_labels.h), and the .urrx
-// snapshot stores it next to them.
+// The hierarchy answers no queries itself and is never persisted:
+// HubLabels::Build extracts the production distance labels from it
+// (routing/hub_labels.h), and the .urrx snapshot stores only those labels
+// and the network (routing/index_snapshot.h).
 #ifndef URR_ROUTING_CONTRACTION_HIERARCHY_H_
 #define URR_ROUTING_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/result.h"
 #include "graph/road_network.h"
 
@@ -37,8 +37,7 @@ struct ChOptions {
 /// labels from it with `HubLabels::Build`.
 class ContractionHierarchy {
  public:
-  /// Constructs an empty (0-node) hierarchy; assign a Build() or
-  /// Deserialize() result to it.
+  /// Constructs an empty (0-node) hierarchy; assign a Build() result to it.
   ContractionHierarchy() = default;
 
   /// Preprocesses `network`. O(V log V)-ish in practice on road networks.
@@ -53,16 +52,6 @@ class ContractionHierarchy {
   /// Contraction rank of a node (0 = contracted first).
   int32_t rank(NodeId v) const { return rank_[static_cast<size_t>(v)]; }
 
-  /// Appends every array of the hierarchy (ranks, both CSR halves with
-  /// shortcut middles) to `writer` in the fixed-width .urrx encoding.
-  void Serialize(BinaryWriter* writer) const;
-
-  /// Parses and fully validates a hierarchy written by Serialize: rank
-  /// permutation, monotone CSR offsets, in-range endpoints and middles,
-  /// finite non-negative costs, and the rank-ordering invariant of both
-  /// halves. Any malformation returns an error Status.
-  static Result<ContractionHierarchy> Deserialize(BinaryReader* reader);
-
  private:
   friend class HubLabels;
   friend class HubLabelUpwardSearcher;  // label extraction's search scratch
@@ -73,16 +62,11 @@ class ContractionHierarchy {
   std::vector<int64_t> up_begin_;
   std::vector<NodeId> up_to_;
   std::vector<Cost> up_cost_;
-  // Contracted node each (possibly shortcut) edge skips; kInvalidNode for
-  // original edges. Parallel to up_to_ / down_to_. Read by nothing; kept
-  // only because the .urrx v1 CH section pins their bytes.
-  std::vector<NodeId> up_middle_;
   // Upward backward graph: reversed edges of (a -> b, rank[a] > rank[b]),
   // stored as b -> a so the backward search also climbs ranks.
   std::vector<int64_t> down_begin_;
   std::vector<NodeId> down_to_;
   std::vector<Cost> down_cost_;
-  std::vector<NodeId> down_middle_;
 };
 
 }  // namespace urr

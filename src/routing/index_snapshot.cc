@@ -20,7 +20,11 @@ namespace {
 constexpr char kMagic[4] = {'U', 'R', 'R', 'X'};
 constexpr size_t kHeaderSize = 16;      // magic + version + count + flags
 constexpr size_t kTableEntrySize = 32;  // id + reserved + offset + size + sum
-constexpr uint32_t kMaxSections = 64;   // sanity cap on the table length
+// The sections of a file, in table order.
+constexpr uint32_t kSectionCount = 2;
+constexpr uint32_t kSectionIds[kSectionCount] = {kSnapshotSectionGraph,
+                                                 kSnapshotSectionHubLabels};
+constexpr const char* kSectionNames[kSectionCount] = {"graph", "hl"};
 
 struct SectionEntry {
   uint32_t id = 0;
@@ -124,15 +128,17 @@ Result<std::vector<SectionEntry>> ParseHeader(std::string_view bytes) {
     return Status::InvalidArgument(
         "snapshot: unsupported format version " + std::to_string(version) +
         " (this build reads version " +
-        std::to_string(kIndexSnapshotVersion) + ")");
+        std::to_string(kIndexSnapshotVersion) +
+        "; rebuild the file with urr_index build)");
   }
   if (flags != 0) {
     return Status::InvalidArgument("snapshot: unknown flags " +
                                    std::to_string(flags));
   }
-  if (count == 0 || count > kMaxSections) {
-    return Status::InvalidArgument("snapshot: implausible section count " +
-                                   std::to_string(count));
+  if (count != kSectionCount) {
+    return Status::InvalidArgument(
+        "snapshot: section count " + std::to_string(count) + ", expected " +
+        std::to_string(kSectionCount) + " (graph, hl)");
   }
   const size_t table_bytes = static_cast<size_t>(count) * kTableEntrySize;
   if (bytes.size() < kHeaderSize + table_bytes) {
@@ -154,11 +160,11 @@ Result<std::vector<SectionEntry>> ParseHeader(std::string_view bytes) {
                                      "section table entry " +
                                      std::to_string(i));
     }
-    for (uint32_t j = 0; j < i; ++j) {
-      if (table[j].id == e.id) {
-        return Status::InvalidArgument("snapshot: duplicate section id " +
-                                       std::to_string(e.id));
-      }
+    if (e.id != kSectionIds[i]) {
+      return Status::InvalidArgument(
+          "snapshot: section table entry " + std::to_string(i) + " has id " +
+          std::to_string(e.id) + ", expected " +
+          std::to_string(kSectionIds[i]) + " (" + kSectionNames[i] + ")");
     }
     // Contiguous 8-byte-aligned layout: rejects overlaps, out-of-file
     // ranges and offset/size overflow in one comparison per section.
@@ -210,14 +216,6 @@ Result<std::vector<SectionEntry>> ParseHeader(std::string_view bytes) {
   return table;
 }
 
-const SectionEntry* FindSection(const std::vector<SectionEntry>& table,
-                                uint32_t id) {
-  for (const SectionEntry& e : table) {
-    if (e.id == id) return &e;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Result<IndexSnapshot> BuildIndexSnapshot(const RoadNetwork& network,
@@ -243,7 +241,7 @@ namespace {
 /// the file; SaveIndexSnapshot writes them without joining them first.
 struct EncodedSnapshot {
   std::string header;
-  std::string payloads[3];
+  std::string payloads[kSectionCount];
 
   std::vector<std::string_view> Pieces() const {
     static constexpr char kZeros[8] = {};
@@ -257,8 +255,6 @@ struct EncodedSnapshot {
 };
 
 EncodedSnapshot EncodeSnapshot(const IndexSnapshot& snapshot) {
-  constexpr uint32_t kIds[3] = {kSnapshotSectionGraph, kSnapshotSectionCh,
-                                kSnapshotSectionHubLabels};
   EncodedSnapshot encoded;
   {
     BinaryWriter w;
@@ -267,24 +263,19 @@ EncodedSnapshot EncodeSnapshot(const IndexSnapshot& snapshot) {
   }
   {
     BinaryWriter w;
-    snapshot.ch.Serialize(&w);
-    encoded.payloads[1] = w.TakeBuffer();
-  }
-  {
-    BinaryWriter w;
     snapshot.hub_labels.Serialize(&w);
-    encoded.payloads[2] = w.TakeBuffer();
+    encoded.payloads[1] = w.TakeBuffer();
   }
 
   BinaryWriter header;
   header.WriteBytes(kMagic, 4);
   header.WriteU32(kIndexSnapshotVersion);
-  header.WriteU32(3);
+  header.WriteU32(kSectionCount);
   header.WriteU32(0);  // flags
-  uint64_t offset = AlignUp8(kHeaderSize + 3 * kTableEntrySize);
-  for (int i = 0; i < 3; ++i) {
+  uint64_t offset = AlignUp8(kHeaderSize + kSectionCount * kTableEntrySize);
+  for (uint32_t i = 0; i < kSectionCount; ++i) {
     const std::string& p = encoded.payloads[i];
-    header.WriteU32(kIds[i]);
+    header.WriteU32(kSectionIds[i]);
     header.WriteU32(0);  // reserved
     header.WriteU64(offset);
     header.WriteU64(p.size());
@@ -311,16 +302,11 @@ std::string SerializeIndexSnapshot(const IndexSnapshot& snapshot) {
 
 Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes) {
   URR_ASSIGN_OR_RETURN(std::vector<SectionEntry> table, ParseHeader(bytes));
-  const SectionEntry* graph = FindSection(table, kSnapshotSectionGraph);
-  const SectionEntry* ch = FindSection(table, kSnapshotSectionCh);
-  const SectionEntry* hl = FindSection(table, kSnapshotSectionHubLabels);
-  if (graph == nullptr || ch == nullptr || hl == nullptr) {
-    return Status::InvalidArgument(
-        "snapshot: missing required section (graph/ch/hl)");
-  }
+  const SectionEntry& graph = table[0];
+  const SectionEntry& hl = table[1];
   IndexSnapshot snapshot;
   {
-    BinaryReader r(bytes.substr(graph->offset, graph->size));
+    BinaryReader r(bytes.substr(graph.offset, graph.size));
     URR_ASSIGN_OR_RETURN(snapshot.network, RoadNetwork::Deserialize(&r));
     if (r.remaining() != 0) {
       return Status::InvalidArgument("snapshot: graph section has " +
@@ -329,16 +315,7 @@ Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes) {
     }
   }
   {
-    BinaryReader r(bytes.substr(ch->offset, ch->size));
-    URR_ASSIGN_OR_RETURN(snapshot.ch, ContractionHierarchy::Deserialize(&r));
-    if (r.remaining() != 0) {
-      return Status::InvalidArgument("snapshot: ch section has " +
-                                     std::to_string(r.remaining()) +
-                                     " trailing bytes");
-    }
-  }
-  {
-    BinaryReader r(bytes.substr(hl->offset, hl->size));
+    BinaryReader r(bytes.substr(hl.offset, hl.size));
     URR_ASSIGN_OR_RETURN(snapshot.hub_labels, HubLabels::Deserialize(&r));
     if (r.remaining() != 0) {
       return Status::InvalidArgument("snapshot: hl section has " +
@@ -346,12 +323,10 @@ Result<IndexSnapshot> ParseIndexSnapshot(std::string_view bytes) {
                                      " trailing bytes");
     }
   }
-  if (snapshot.ch.num_nodes() != snapshot.network.num_nodes() ||
-      snapshot.hub_labels.num_nodes() != snapshot.network.num_nodes()) {
+  if (snapshot.hub_labels.num_nodes() != snapshot.network.num_nodes()) {
     return Status::InvalidArgument(
         "snapshot: sections disagree on node count (graph " +
-        std::to_string(snapshot.network.num_nodes()) + ", ch " +
-        std::to_string(snapshot.ch.num_nodes()) + ", hl " +
+        std::to_string(snapshot.network.num_nodes()) + ", hl " +
         std::to_string(snapshot.hub_labels.num_nodes()) + ")");
   }
   return snapshot;

@@ -45,7 +45,7 @@ int64_t AdmissionController::total_sessions() const {
   return total_;
 }
 
-void AdmissionController::CountShed(EngineReject reason) {
+void AdmissionController::CountShed(RejectReason reason) {
   std::lock_guard<std::mutex> lock(mu_);
   shed_.Bump(reason);
 }

@@ -7,7 +7,7 @@
 //      connection it cannot serve.
 //   2. Queue gate — the engine's own `max_queue`: an arrival landing on a
 //      full dispatch queue is rejected by HandleArrival with
-//      EngineReject::kQueueFull and surfaces to the client as a 429.
+//      RejectReason::kQueueFull and surfaces to the client as a 429.
 //
 // This class owns gate 1 and aggregates what both gates shed, so the
 // metrics response can report overload behavior without touching the
@@ -44,7 +44,7 @@ class AdmissionController {
   /// Records a request the service turned away (429/503) so overload is
   /// visible in the metrics response even though the engine never saw the
   /// request.
-  void CountShed(EngineReject reason);
+  void CountShed(RejectReason reason);
   RejectCounts shed() const;
 
  private:

@@ -239,6 +239,13 @@ std::string DispatchService::HandleMutating(const Request& req, Cost t) {
       return *cached;
     }
   }
+  // An inject_fault naming an unknown vehicle or node cannot mutate
+  // anything, so it is answered before it reaches the journal.
+  if (req.op == RequestOp::kInjectFault) {
+    if (const Status ids = CheckInjectIds(req); !ids.ok()) {
+      return ErrorResponse(req.id, CodeFor(ids), ids.message());
+    }
+  }
   if (journal_.has_value()) {
     if (!journal_fault_.ok()) {
       // A previous append failed: the journal no longer covers the engine
@@ -304,12 +311,12 @@ std::string DispatchService::HandleSubmit(const Request& req, Cost t) {
     return ErrorResponse(req.id, CodeFor(out.status()),
                          out.status().message());
   }
-  if (out->reject == EngineReject::kQueueFull) {
+  if (out->reject == RejectReason::kQueueFull) {
     // Admission control shed the request: the 429 of this protocol.
-    if (admission_ != nullptr) admission_->CountShed(EngineReject::kQueueFull);
+    if (admission_ != nullptr) admission_->CountShed(RejectReason::kQueueFull);
     JsonWriter w = Envelope(req.id, false, 429);
     w.Field("result", "rejected")
-        .Field("reason", EngineRejectName(out->reject))
+        .Field("reason", RejectReasonName(out->reject))
         .Field("queue_depth", engine_.queue_depth())
         .EndObject();
     return w.str();
@@ -319,11 +326,11 @@ std::string DispatchService::HandleSubmit(const Request& req, Cost t) {
     w.Field("result", "assigned").Field("vehicle", out->vehicle);
   } else if (out->queued) {
     w.Field("result", "queued").Field("queue_depth", engine_.queue_depth());
-  } else if (out->reject != EngineReject::kNone) {
+  } else if (out->reject != RejectReason::kNone) {
     // Dispatch-infeasible (W = 0 path): the request was served, the answer
     // is no — a 200 with the reason, not an error.
     w.Field("result", "rejected").Field("reason",
-                                        EngineRejectName(out->reject));
+                                        RejectReasonName(out->reject));
   } else {
     w.Field("result", "done");  // e.g. expired at submit instant
   }
@@ -450,14 +457,30 @@ std::string DispatchService::HandleWorkload(const Request& req) {
   return w.str();
 }
 
-std::string DispatchService::HandleInject(const Request& req, Cost t) {
-  Status st = Status::OK();
+Status DispatchService::CheckInjectIds(const Request& req) const {
   if (req.fault_kind == "breakdown") {
     if (req.vehicle < 0 ||
         req.vehicle >= static_cast<int>(engine_.instance().vehicles.size())) {
-      return ErrorResponse(req.id, 404,
-                           "unknown vehicle " + std::to_string(req.vehicle));
+      return Status::NotFound("unknown vehicle " +
+                              std::to_string(req.vehicle));
     }
+    return Status::OK();
+  }
+  for (const NodeId v : {req.edge_a, req.edge_b}) {
+    if (v < 0 || v >= engine_.instance().network->num_nodes()) {
+      return Status::NotFound("unknown node " + std::to_string(v));
+    }
+  }
+  return Status::OK();
+}
+
+std::string DispatchService::HandleInject(const Request& req, Cost t) {
+  // Checked again on the dispatch path: recovery replays journal records
+  // through it, and a journal written by an older service may hold an
+  // unknown-id inject, which must still answer 404.
+  Status st = CheckInjectIds(req);
+  if (!st.ok()) return ErrorResponse(req.id, CodeFor(st), st.message());
+  if (req.fault_kind == "breakdown") {
     st = engine_.InjectBreakdownLive(req.vehicle, t);
   } else if (req.fault_kind == "edge_disrupt") {
     st = engine_.InjectEdgeFaultLive(req.edge_a, req.edge_b, req.factor, t);

@@ -117,7 +117,8 @@ class DispatchService {
  private:
   std::string HandleParsed(const Request& req);
   /// The journaling wrapper around every mutating op: dedup lookup →
-  /// write-ahead append → dispatch → dedup insert → checkpoint cadence.
+  /// inject id check → write-ahead append → dispatch → dedup insert →
+  /// checkpoint cadence.
   std::string HandleMutating(const Request& req, Cost t);
   /// Pure dispatch of one mutating op at time `t` (no journaling) — the
   /// shared path of live handling and recovery replay.
@@ -131,6 +132,9 @@ class DispatchService {
   std::string HandleMetrics(const Request& req);
   std::string HandleWorkload(const Request& req);
   std::string HandleInject(const Request& req, Cost t);
+  /// NotFound naming the first vehicle (breakdown) or edge endpoint an
+  /// inject_fault request names that the world lacks; OK otherwise.
+  Status CheckInjectIds(const Request& req) const;
   std::string HandleTick(const Request& req, Cost t);
   std::string HandleShutdown(const Request& req);
   /// Maps an engine Status to the protocol's HTTP-style code.

@@ -87,9 +87,7 @@ void AttachEvalStats(const SolverContext& ctx, SolutionMetrics* metrics) {
 void AttachRejectionReasons(const UrrInstance& instance, SolverContext* ctx,
                             const UrrSolution& solution,
                             SolutionMetrics* metrics) {
-  metrics->unserved_no_reachable_vehicle = 0;
-  metrics->unserved_capacity = 0;
-  metrics->unserved_deadline = 0;
+  metrics->unserved = RejectCounts();
   metrics->unserved_feasible = 0;
   // The re-evaluation below replays retrieval per unserved rider; detach
   // the retrieval counters so diagnostics don't pollute the solve's stats.
@@ -101,18 +99,8 @@ void AttachRejectionReasons(const UrrInstance& instance, SolverContext* ctx,
                                                OnlineObjective::kUtilityGain);
     if (d.accepted) {
       ++metrics->unserved_feasible;
-      continue;
-    }
-    switch (d.reason) {
-      case RejectReason::kNoReachableVehicle:
-        ++metrics->unserved_no_reachable_vehicle;
-        break;
-      case RejectReason::kCapacity:
-        ++metrics->unserved_capacity;
-        break;
-      default:
-        ++metrics->unserved_deadline;
-        break;
+    } else {
+      metrics->unserved.Bump(d.reason);
     }
   }
   ctx->retrieval_stats = saved_stats;
@@ -165,9 +153,9 @@ std::string MetricsJson(const SolutionMetrics& m) {
       .EndObject();
   w.Key("rejects_by_reason")
       .BeginObject()
-      .Field("no_reachable_vehicle", m.unserved_no_reachable_vehicle)
-      .Field("capacity", m.unserved_capacity)
-      .Field("deadline", m.unserved_deadline)
+      .Field("no_reachable_vehicle", m.unserved.no_reachable_vehicle)
+      .Field("capacity", m.unserved.capacity)
+      .Field("deadline", m.unserved.deadline)
       .Field("feasible_unassigned", m.unserved_feasible)
       .EndObject();
   w.EndObject();

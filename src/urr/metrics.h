@@ -5,6 +5,7 @@
 #ifndef URR_URR_METRICS_H_
 #define URR_URR_METRICS_H_
 
+#include "urr/online.h"
 #include "urr/solution.h"
 
 namespace urr {
@@ -43,9 +44,7 @@ struct SolutionMetrics {
   /// the final schedules (filled by AttachRejectionReasons; 0 otherwise).
   /// `unserved_feasible` counts riders who WOULD fit now but lost the
   /// solver's utility competition — distinct from the three hard reasons.
-  int unserved_no_reachable_vehicle = 0;
-  int unserved_capacity = 0;
-  int unserved_deadline = 0;
+  RejectCounts unserved;  // queue_full stays 0
   int unserved_feasible = 0;
 };
 
@@ -60,10 +59,10 @@ SolutionMetrics ComputeMetrics(const UrrInstance& instance,
 void AttachEvalStats(const SolverContext& ctx, SolutionMetrics* metrics);
 
 /// Classifies every unserved rider with the shared online decision helper
-/// (EvaluateArrival against the final schedules) and fills the unserved_*
-/// counters: no vehicle reachable in time, reachable but full, insertions
-/// exist but all violate deadlines, or feasible-yet-unassigned (lost the
-/// utility competition).
+/// (EvaluateArrival against the final schedules) and fills `unserved` and
+/// `unserved_feasible`: no vehicle reachable in time, reachable but full,
+/// insertions exist but all violate deadlines, or feasible-yet-unassigned
+/// (lost the utility competition).
 void AttachRejectionReasons(const UrrInstance& instance, SolverContext* ctx,
                             const UrrSolution& solution,
                             SolutionMetrics* metrics);

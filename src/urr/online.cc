@@ -2,6 +2,27 @@
 
 namespace urr {
 
+const char* RejectReasonName(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kNone: return "none";
+    case RejectReason::kNoReachableVehicle: return "no_reachable_vehicle";
+    case RejectReason::kCapacity: return "capacity";
+    case RejectReason::kDeadline: return "deadline";
+    case RejectReason::kQueueFull: return "queue_full";
+  }
+  return "unknown";
+}
+
+void RejectCounts::Bump(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kNone: break;
+    case RejectReason::kNoReachableVehicle: ++no_reachable_vehicle; break;
+    case RejectReason::kCapacity: ++capacity; break;
+    case RejectReason::kDeadline: ++deadline; break;
+    case RejectReason::kQueueFull: ++queue_full; break;
+  }
+}
+
 DispatchDecision EvaluateArrival(const UrrInstance& instance,
                                  SolverContext* ctx, const UrrSolution& sol,
                                  RiderId rider, OnlineObjective objective) {

@@ -20,12 +20,30 @@ enum class OnlineObjective {
   kMinCostIncrease,
 };
 
-/// Why an arrival was turned down.
+/// Why an arrival was turned down: EvaluateArrival's verdicts, plus the
+/// streaming engine's admission-control overflow.
 enum class RejectReason : uint8_t {
   kNone = 0,             // accepted
   kNoReachableVehicle,   // no vehicle can reach the pickup by its deadline
   kCapacity,             // reachable vehicles are full at every position
   kDeadline,             // insertions exist but all violate time windows
+  kQueueFull,            // admission control: the engine's max_queue exceeded
+};
+
+/// Stable snake_case name ("queue_full", ...) used in JSON and responses.
+const char* RejectReasonName(RejectReason reason);
+
+/// Per-reason rejection counters (kNone is not counted).
+struct RejectCounts {
+  int no_reachable_vehicle = 0;
+  int capacity = 0;
+  int deadline = 0;
+  int queue_full = 0;
+
+  void Bump(RejectReason reason);
+  int total() const {
+    return no_reachable_vehicle + capacity + deadline + queue_full;
+  }
 };
 
 /// Per-arrival outcome.

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/binary_io.h"
 #include "common/rng.h"
@@ -146,6 +148,9 @@ TEST(ChTest, DisconnectedComponents) {
   ExpectAllPairsMatchDijkstra(*g, hl);
 }
 
+// The hierarchy is not persisted; what a parallel build must reproduce is
+// what leaves it: every node's rank, the upward edge count and the bytes
+// of the hub labels extracted from it.
 TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
   Rng rng(77);
   GridCityOptions opt;
@@ -154,23 +159,44 @@ TEST(ChParallelTest, SerializedBytesIdenticalAcrossThreadCounts) {
   auto g = GenerateGridCity(opt, &rng);
   ASSERT_TRUE(g.ok());
 
-  auto bytes_with_threads = [&](int threads) {
+  struct Built {
+    std::vector<int32_t> ranks;
+    int64_t upward_edges = 0;
+    std::string label_bytes;
+  };
+  auto build_with_threads = [&](int threads) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     ChOptions options;
     options.pool = pool.get();
+    Built built;
     auto ch = ContractionHierarchy::Build(*g, options);
     EXPECT_TRUE(ch.ok());
+    if (!ch.ok()) return built;
+    for (NodeId v = 0; v < ch->num_nodes(); ++v) {
+      built.ranks.push_back(ch->rank(v));
+    }
+    built.upward_edges = ch->num_upward_edges();
+    auto hl = HubLabels::Build(*ch, pool.get());
+    EXPECT_TRUE(hl.ok());
+    if (!hl.ok()) return built;
     BinaryWriter writer;
-    ch->Serialize(&writer);
-    return writer.buffer();
+    hl->Serialize(&writer);
+    built.label_bytes = writer.buffer();
+    return built;
   };
 
-  const std::string serial = bytes_with_threads(1);
-  ASSERT_FALSE(serial.empty());
+  const Built serial = build_with_threads(1);
+  ASSERT_EQ(serial.ranks.size(), static_cast<size_t>(g->num_nodes()));
+  ASSERT_FALSE(serial.label_bytes.empty());
   for (const int threads : {2, 8}) {
-    EXPECT_EQ(bytes_with_threads(threads), serial)
-        << "hierarchy built with " << threads
+    const Built parallel = build_with_threads(threads);
+    EXPECT_EQ(parallel.ranks, serial.ranks)
+        << "contraction order with " << threads << " threads";
+    EXPECT_EQ(parallel.upward_edges, serial.upward_edges)
+        << "upward edges with " << threads << " threads";
+    EXPECT_EQ(parallel.label_bytes, serial.label_bytes)
+        << "labels built with " << threads
         << " threads must be bit-identical to the serial build";
   }
 }

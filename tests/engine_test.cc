@@ -443,5 +443,60 @@ TEST(EngineTest, RestoreRejectsOutOfRangeIdsAndCounters) {
   }
 }
 
+// Restore takes exactly what Checkpoint wrote: anything after the "end"
+// trailer is a damaged or concatenated file, not a checkpoint.
+TEST(EngineTest, RestoreRejectsBytesAfterTheEndTrailer) {
+  auto world = SmallWorld();
+  const StreamingWorkload workload = MakeWorkload(*world, 1.0);
+  EngineConfig cfg;
+  cfg.window = 20;
+  std::string checkpoint;
+  {
+    EngineRun run(world.get(), &workload, cfg);
+    ASSERT_TRUE(run.engine.Run().ok());
+    checkpoint = run.engine.Checkpoint();
+  }
+  ASSERT_EQ(checkpoint.substr(checkpoint.size() - 4), "end\n");
+  {
+    EngineRun resumed(world.get(), &workload, cfg);
+    ASSERT_TRUE(resumed.engine.Restore(checkpoint).ok());
+  }
+  for (const std::string& tail : {std::string("x"), std::string("\n"),
+                                  std::string("end\n")}) {
+    EngineRun resumed(world.get(), &workload, cfg);
+    const Status st = resumed.engine.Restore(checkpoint + tail);
+    EXPECT_FALSE(st.ok()) << "tail '" << tail << "' restored";
+    EXPECT_NE(st.message().find("after the 'end' trailer"), std::string::npos)
+        << st;
+  }
+}
+
+// Only the current checkpoint version restores: a version-1 checkpoint
+// (no "index" provenance line) is rejected by its version number.
+TEST(EngineTest, RestoreRejectsVersionOne) {
+  auto world = SmallWorld();
+  const StreamingWorkload workload = MakeWorkload(*world, 1.0);
+  EngineConfig cfg;
+  cfg.window = 20;
+  std::string checkpoint;
+  {
+    EngineRun run(world.get(), &workload, cfg);
+    ASSERT_TRUE(run.engine.Run().ok());
+    checkpoint = run.engine.Checkpoint();
+  }
+  // Version 1 is version 2 without the provenance line after the header.
+  const size_t header_end = checkpoint.find('\n');
+  const size_t index_end = checkpoint.find('\n', header_end + 1);
+  ASSERT_EQ(checkpoint.substr(0, header_end), "urrckpt 2");
+  ASSERT_EQ(checkpoint.compare(header_end + 1, 6, "index "), 0);
+  const std::string v1 = "urrckpt 1" + checkpoint.substr(index_end);
+  EngineRun resumed(world.get(), &workload, cfg);
+  const Status st = resumed.engine.Restore(v1);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << st;
+}
+
 }  // namespace
 }  // namespace urr

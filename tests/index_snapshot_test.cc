@@ -130,13 +130,14 @@ TEST(IndexSnapshotTest, SerializeParseRoundTripByteStable) {
   const RoadNetwork net = SmallCity(11);
   const IndexSnapshot snap = BuildSnap(net);
   const std::string bytes = SerializeIndexSnapshot(snap);
-  ASSERT_GT(bytes.size(), kHeaderSize + 3 * kTableEntrySize);
+  ASSERT_GT(bytes.size(), kHeaderSize + 2 * kTableEntrySize);
   EXPECT_EQ(bytes.size() % 8, 0u);
 
   auto parsed = ParseIndexSnapshot(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->network.num_nodes(), net.num_nodes());
   EXPECT_EQ(parsed->network.num_edges(), net.num_edges());
+  EXPECT_EQ(parsed->ch.num_nodes(), 0) << "a loaded snapshot has no hierarchy";
   EXPECT_EQ(SerializeIndexSnapshot(*parsed), bytes)
       << "parse -> re-serialize must reproduce the input bytes";
 }
@@ -213,7 +214,7 @@ TEST(IndexSnapshotGoldenTest, FixtureMatchesBuildRecipe) {
 // the labels (a different witness search, say) must update the pin on
 // purpose; a rewrite that claims byte-identical output must leave it alone.
 TEST(IndexSnapshotGoldenTest, CityScaleBytesArePinned) {
-  constexpr uint64_t kPinnedFnv = 0x185d19c5c3f66a38ULL;
+  constexpr uint64_t kPinnedFnv = 0xb91699222ba0c832ULL;
   Rng rng(20170512);
   auto net = GenerateNycLike(2000, &rng);
   ASSERT_TRUE(net.ok()) << net.status();
@@ -248,9 +249,9 @@ TEST(IndexSnapshotGoldenTest, MoreNetworkShapesArePinned) {
                                  grid.coords());
   ASSERT_TRUE(tied.ok()) << tied.status();
   const Pin pins[] = {
-      {"chicago 1500", *std::move(chicago), 0xdb926585f2ebaa4fULL},
-      {"grid 40x30", grid, 0xb95700acce4e975aULL},
-      {"tied grid 40x30", *std::move(tied), 0x16883b06d4390f0dULL},
+      {"chicago 1500", *std::move(chicago), 0x122b0eb31b95cfa4ULL},
+      {"grid 40x30", grid, 0x02b41e24a989ca52ULL},
+      {"tied grid 40x30", *std::move(tied), 0x388baa4fc5b4015aULL},
   };
   for (const Pin& pin : pins) {
     for (const int threads : {1, 3, 4}) {
@@ -321,7 +322,56 @@ class IndexSnapshotCorruptionTest : public ::testing::Test {
     const RoadNetwork net = SmallCity(16);
     bytes_ = SerializeIndexSnapshot(BuildSnap(net));
     sections_ = SectionTable(bytes_);
-    ASSERT_EQ(sections_.size(), 3u);
+    ASSERT_EQ(sections_.size(), 2u);
+    ASSERT_EQ(sections_[0].id, kSnapshotSectionGraph);
+    ASSERT_EQ(sections_[1].id, kSnapshotSectionHubLabels);
+  }
+
+  /// The mutated bytes must parse to an error whose message contains
+  /// `needle`.
+  void ExpectRejectedWith(const std::string& mutated, const std::string& what,
+                          const std::string& needle) {
+    auto parsed = ParseIndexSnapshot(mutated);
+    ASSERT_FALSE(parsed.ok()) << "corruption not detected: " << what;
+    EXPECT_NE(parsed.status().message().find(needle), std::string::npos)
+        << what << ": " << parsed.status();
+  }
+
+  /// A well-formed file (valid geometry, padding and checksums) whose table
+  /// lists `sections` as {id, payload} in order: only the section rules can
+  /// reject it.
+  static std::string Assemble(
+      const std::vector<std::pair<uint32_t, std::string>>& sections) {
+    std::string out = "URRX";
+    auto put32 = [&out](uint32_t v) {
+      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    auto put64 = [&out](uint64_t v) {
+      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put32(kIndexSnapshotVersion);
+    put32(static_cast<uint32_t>(sections.size()));
+    put32(0);  // flags
+    auto align8 = [](size_t v) { return (v + 7) & ~size_t{7}; };
+    size_t offset = align8(kHeaderSize + sections.size() * kTableEntrySize);
+    for (const auto& [id, payload] : sections) {
+      put32(id);
+      put32(0);  // reserved
+      put64(offset);
+      put64(payload.size());
+      put64(Fnv1a64(payload.data(), payload.size()));
+      offset = align8(offset + payload.size());
+    }
+    for (const auto& [id, payload] : sections) {
+      out.resize(align8(out.size()), '\0');
+      out += payload;
+    }
+    out.resize(align8(out.size()), '\0');
+    return out;
+  }
+
+  std::string Payload(size_t i) const {
+    return bytes_.substr(sections_[i].offset, sections_[i].size);
   }
 
   /// The mutated bytes must parse to an error Status (and, running under
@@ -337,7 +387,7 @@ class IndexSnapshotCorruptionTest : public ::testing::Test {
 
 TEST_F(IndexSnapshotCorruptionTest, TruncationAtEveryBoundaryFailsCleanly) {
   std::vector<size_t> lengths;
-  for (size_t n = 0; n <= kHeaderSize + 3 * kTableEntrySize + 8; ++n) {
+  for (size_t n = 0; n <= kHeaderSize + 2 * kTableEntrySize + 8; ++n) {
     lengths.push_back(n);  // every prefix of header + table
   }
   for (const Section& s : sections_) {
@@ -368,11 +418,19 @@ TEST_F(IndexSnapshotCorruptionTest, FlippedMagicFails) {
 }
 
 TEST_F(IndexSnapshotCorruptionTest, WrongVersionFails) {
-  for (const uint32_t version : {0u, 2u, 0xffffffffu}) {
+  // Version 1 (the layout with a hierarchy section) is named in the error;
+  // so is every other version this build does not read.
+  for (const uint32_t version : {0u, 1u, 3u, 0xffffffffu}) {
     std::string mutated = bytes_;
     PutU32At(&mutated, 4, version);
-    ExpectRejected(mutated, "version " + std::to_string(version));
+    ExpectRejectedWith(mutated, "version " + std::to_string(version),
+                       "version " + std::to_string(version) + " ");
   }
+  // A complete version-1 layout: GRAPH, CH and HL sections.
+  std::string v1 = Assemble({{1, Payload(0)}, {2, std::string(16, '\0')},
+                             {3, Payload(1)}});
+  PutU32At(&v1, 4, 1);
+  ExpectRejectedWith(v1, "version-1 file", "unsupported format version 1 ");
 }
 
 TEST_F(IndexSnapshotCorruptionTest, NonzeroFlagsFail) {
@@ -382,11 +440,39 @@ TEST_F(IndexSnapshotCorruptionTest, NonzeroFlagsFail) {
 }
 
 TEST_F(IndexSnapshotCorruptionTest, BadSectionCountFails) {
-  for (const uint32_t count : {0u, 1u, 2u, 4u, 100u, 0xffffffffu}) {
+  for (const uint32_t count : {0u, 1u, 3u, 4u, 100u, 0xffffffffu}) {
     std::string mutated = bytes_;
     PutU32At(&mutated, 8, count);
-    ExpectRejected(mutated, "section count " + std::to_string(count));
+    const std::string what = "section count " + std::to_string(count);
+    ExpectRejectedWith(mutated, what, what + ", expected 2");
   }
+  // Well-formed three-section files: the version-1 GRAPH, CH, HL set under
+  // the current version number, and the current pair plus an extra one.
+  ExpectRejectedWith(Assemble({{1, Payload(0)}, {2, std::string(16, '\0')},
+                               {3, Payload(1)}}),
+                     "graph + ch + hl", "section count 3, expected 2");
+  ExpectRejectedWith(
+      Assemble({{1, Payload(0)}, {3, Payload(1)}, {4, std::string(8, 'x')}}),
+      "extra section", "section count 3, expected 2");
+  // One section: the labels are missing.
+  ExpectRejectedWith(Assemble({{1, Payload(0)}}), "missing hl",
+                     "section count 1, expected 2");
+}
+
+TEST_F(IndexSnapshotCorruptionTest, UnknownOrMisplacedSectionIdFails) {
+  ASSERT_TRUE(ParseIndexSnapshot(Assemble({{1, Payload(0)}, {3, Payload(1)}}))
+                  .ok())
+      << "the assembler must reproduce a loadable file";
+  // The version-1 hierarchy id, an unknown id, and the right ids swapped.
+  ExpectRejectedWith(Assemble({{1, Payload(0)}, {2, Payload(1)}}),
+                     "ch id in place of hl",
+                     "entry 1 has id 2, expected 3 (hl)");
+  ExpectRejectedWith(Assemble({{7, Payload(0)}, {3, Payload(1)}}),
+                     "unknown id in place of graph",
+                     "entry 0 has id 7, expected 1 (graph)");
+  ExpectRejectedWith(Assemble({{3, Payload(1)}, {1, Payload(0)}}),
+                     "sections swapped",
+                     "entry 0 has id 3, expected 1 (graph)");
 }
 
 TEST_F(IndexSnapshotCorruptionTest, DuplicateSectionIdFails) {
@@ -402,7 +488,7 @@ TEST_F(IndexSnapshotCorruptionTest, NonzeroReservedFieldFails) {
 }
 
 TEST_F(IndexSnapshotCorruptionTest, HostileTableGeometryFails) {
-  // Overlap / gap: nudge the middle section's offset both ways.
+  // Overlap / gap: nudge the last section's offset both ways.
   for (const int64_t delta : {-8, 8}) {
     std::string mutated = bytes_;
     PutU64At(&mutated, sections_[1].table_at + 8,
@@ -415,7 +501,7 @@ TEST_F(IndexSnapshotCorruptionTest, HostileTableGeometryFails) {
        {static_cast<uint64_t>(bytes_.size()),
         std::numeric_limits<uint64_t>::max() - 8}) {
     std::string mutated = bytes_;
-    PutU64At(&mutated, sections_[2].table_at + 16, size);
+    PutU64At(&mutated, sections_[1].table_at + 16, size);
     ExpectRejected(mutated, "hostile size " + std::to_string(size));
   }
 }
@@ -442,7 +528,7 @@ TEST_F(IndexSnapshotCorruptionTest, OverflowCountRejectedPastChecksum) {
   // A hostile element count must be caught by the bounds-capped vector
   // reader even when the section checksum has been recomputed to match.
   std::string mutated = bytes_;
-  const Section& hl = sections_[2];
+  const Section& hl = sections_[1];
   // HL payload: [i32 n][u64 count of fwd_begin]... — blow up that count.
   PutU64At(&mutated, hl.offset + 4, uint64_t{1} << 60);
   FixChecksum(&mutated, hl);
@@ -451,7 +537,7 @@ TEST_F(IndexSnapshotCorruptionTest, OverflowCountRejectedPastChecksum) {
 
 TEST_F(IndexSnapshotCorruptionTest, NanCostRejectedPastChecksum) {
   std::string mutated = bytes_;
-  const Section& hl = sections_[2];
+  const Section& hl = sections_[1];
   // HL payload: [i32 n][u64 n+1][i64 fwd_begin x n+1][u64 F][i32 hub x F]
   //             [u64 F][double fwd_cost x F]...
   const uint64_t n = U64At(bytes_, hl.offset + 4) - 1;
@@ -466,17 +552,6 @@ TEST_F(IndexSnapshotCorruptionTest, NanCostRejectedPastChecksum) {
   PutDoubleAt(&negative, cost0, -1.0);
   FixChecksum(&negative, hl);
   ExpectRejected(negative, "negative label cost");
-}
-
-TEST_F(IndexSnapshotCorruptionTest, RankNotAPermutationRejectedPastChecksum) {
-  std::string mutated = bytes_;
-  const Section& ch = sections_[1];
-  // CH payload: [i32 n][u64 n][i32 rank x n]... — duplicate rank[0] into
-  // rank[1] so the order is no longer a permutation.
-  const size_t rank0 = ch.offset + 4 + 8;
-  PutU32At(&mutated, rank0 + 4, U32At(bytes_, rank0));
-  FixChecksum(&mutated, ch);
-  ExpectRejected(mutated, "rank array not a permutation");
 }
 
 TEST_F(IndexSnapshotCorruptionTest, NonMonotoneGraphOffsetsRejected) {

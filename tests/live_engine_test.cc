@@ -208,7 +208,7 @@ TEST(LiveEngineTest, SubmitOutcomeReportsQueuedAndQueueFull) {
                               workload.arrivals[i].time);
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     EXPECT_TRUE(outcome->queued);
-    EXPECT_EQ(outcome->reject, EngineReject::kNone);
+    EXPECT_EQ(outcome->reject, RejectReason::kNone);
   }
   EXPECT_EQ(run.engine.queue_depth(), 2);
 
@@ -216,7 +216,7 @@ TEST(LiveEngineTest, SubmitOutcomeReportsQueuedAndQueueFull) {
                                     workload.arrivals[2].time);
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_FALSE(full->queued);
-  EXPECT_EQ(full->reject, EngineReject::kQueueFull);
+  EXPECT_EQ(full->reject, RejectReason::kQueueFull);
   EXPECT_EQ(run.engine.metrics().rejects.queue_full, 1);
 
   ASSERT_TRUE(run.engine.FinishLive().ok());
@@ -246,7 +246,7 @@ TEST(LiveEngineTest, OnlineOutcomeReportsAssignmentWithVehicle) {
       EXPECT_STREQ(status->state, "assigned");
       EXPECT_EQ(status->vehicle, outcome->vehicle);
     } else {
-      EXPECT_NE(outcome->reject, EngineReject::kNone);
+      EXPECT_NE(outcome->reject, RejectReason::kNone);
     }
   }
   EXPECT_TRUE(saw_assignment);

@@ -125,7 +125,7 @@ TEST(OnlineTest, RejectedRiderStaysUnassigned) {
   OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
   const DispatchEngine::SubmitOutcome out = online.Submit(0);
   EXPECT_FALSE(out.assigned);
-  EXPECT_NE(out.reject, EngineReject::kNone);
+  EXPECT_NE(out.reject, RejectReason::kNone);
   EXPECT_EQ(online.engine().solution().assignment[0], -1);
   EXPECT_EQ(online.engine().metrics().total_rejected, 1);
 }
@@ -136,7 +136,7 @@ TEST(OnlineTest, AcceptedDecisionCarriesNoReason) {
   for (RiderId r = 0; r < world->instance.num_riders(); ++r) {
     const DispatchEngine::SubmitOutcome out = online.Submit(r);
     if (out.assigned) {
-      EXPECT_EQ(out.reject, EngineReject::kNone);
+      EXPECT_EQ(out.reject, RejectReason::kNone);
       EXPECT_GE(out.vehicle, 0);
       return;
     }
@@ -154,7 +154,7 @@ TEST(OnlineTest, UnreachableRiderReportsNoReachableVehicle) {
   OnlineSession online(world.get(), OnlineObjective::kUtilityGain);
   const DispatchEngine::SubmitOutcome out = online.Submit(0);
   ASSERT_FALSE(out.assigned);
-  EXPECT_EQ(out.reject, EngineReject::kNoReachableVehicle);
+  EXPECT_EQ(out.reject, RejectReason::kNoReachableVehicle);
 }
 
 TEST(OnlineTest, ZeroCapacityFleetReportsCapacity) {
@@ -165,7 +165,7 @@ TEST(OnlineTest, ZeroCapacityFleetReportsCapacity) {
     OnlineSession online(world.get(), obj);
     const DispatchEngine::SubmitOutcome out = online.Submit(0);
     ASSERT_FALSE(out.assigned);
-    EXPECT_EQ(out.reject, EngineReject::kCapacity);
+    EXPECT_EQ(out.reject, RejectReason::kCapacity);
   }
 }
 
@@ -178,7 +178,7 @@ TEST(OnlineTest, ImpossibleDropoffReportsDeadline) {
   OnlineSession online(world.get(), OnlineObjective::kMinCostIncrease);
   const DispatchEngine::SubmitOutcome out = online.Submit(0);
   ASSERT_FALSE(out.assigned);
-  EXPECT_EQ(out.reject, EngineReject::kDeadline);
+  EXPECT_EQ(out.reject, RejectReason::kDeadline);
 }
 
 TEST(OnlineTest, EvaluateArrivalMatchesDispatchWithoutCommitting) {
@@ -197,9 +197,7 @@ TEST(OnlineTest, EvaluateArrivalMatchesDispatchWithoutCommitting) {
     EXPECT_EQ(peek.accepted, out.assigned) << "rider " << r;
     EXPECT_EQ(peek.vehicle, out.vehicle) << "rider " << r;
     if (!peek.accepted) {
-      // EngineReject extends RejectReason with the same leading values.
-      EXPECT_EQ(static_cast<int>(peek.reason), static_cast<int>(out.reject))
-          << "rider " << r;
+      EXPECT_EQ(peek.reason, out.reject) << "rider " << r;
     }
   }
 }

@@ -306,6 +306,72 @@ TEST(ServerTest, RecoveredServerReproducesTheBatchLogByteForByte) {
   EXPECT_EQ(h.service.engine().SolutionFingerprint(), batch_fp);
 }
 
+// An inject_fault naming an unknown vehicle or node is answered 404 and
+// leaves no journal record: it cannot mutate anything, and a journaled
+// no-op would be replayed on every recovery.
+TEST(ServerTest, InjectWithUnknownIdsIsNotJournaled) {
+  ServiceConfig journaled;
+  journaled.journal_dir = ScratchDir("inject_ids");
+  journaled.journal_fsync = false;
+  ServerHarness h(WindowedConfig(), /*cancel_fraction=*/0.0,
+                  /*max_sessions=*/8, journaled);
+  const std::string unknown[] = {
+      "{\"op\":\"inject_fault\",\"req_id\":1,\"kind\":\"breakdown\","
+      "\"vehicle\":999999,\"time\":1}",
+      "{\"op\":\"inject_fault\",\"req_id\":2,\"kind\":\"breakdown\","
+      "\"vehicle\":-1,\"time\":1}",
+      "{\"op\":\"inject_fault\",\"req_id\":3,\"kind\":\"edge_disrupt\","
+      "\"a\":999999,\"b\":0,\"factor\":2,\"time\":1}",
+      "{\"op\":\"inject_fault\",\"req_id\":4,\"kind\":\"edge_restore\","
+      "\"a\":0,\"b\":999999,\"time\":1}",
+  };
+  for (const std::string& request : unknown) {
+    auto response = ParseJson(h.service.Handle(request));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->GetInt("code", 0), 404) << request;
+    EXPECT_EQ(h.service.journal_records(), 0)
+        << "an unknown-id inject must not be journaled: " << request;
+  }
+  // A known vehicle is journaled as before.
+  auto known = ParseJson(h.service.Handle(
+      "{\"op\":\"inject_fault\",\"kind\":\"breakdown\",\"vehicle\":0,"
+      "\"time\":1}"));
+  ASSERT_TRUE(known.ok()) << known.status();
+  EXPECT_EQ(known->GetInt("code", 0), 200);
+  EXPECT_EQ(h.service.journal_records(), 1);
+}
+
+// A journal may already hold an unknown-id inject record; recovery
+// replays it through the dispatch path, which still answers 404 (and the
+// rebuilt dedup window serves that response to a retry).
+TEST(ServerTest, ReplayedUnknownIdInjectStillAnswers404) {
+  const std::string dir = ScratchDir("inject_replay");
+  {
+    Request req;
+    req.op = RequestOp::kInjectFault;
+    req.req_id = 9;
+    req.fault_kind = "breakdown";
+    req.vehicle = 999999;
+    auto journal = RequestJournal::Open(dir + "/journal.wal", /*fsync=*/false);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(journal->Append(SerializeRequest(req, 1.0)).ok());
+  }
+  ServiceConfig recovering;
+  recovering.journal_dir = dir;
+  recovering.journal_fsync = false;
+  recovering.recover = true;
+  ServerHarness h(WindowedConfig(), /*cancel_fraction=*/0.0,
+                  /*max_sessions=*/8, recovering);
+  EXPECT_EQ(h.service.journal_records(), 1);
+  EXPECT_EQ(h.service.recovered_replayed(), 1);
+  auto retry = ParseJson(h.service.Handle(
+      "{\"op\":\"inject_fault\",\"req_id\":9,\"kind\":\"breakdown\","
+      "\"vehicle\":999999,\"time\":2}"));
+  ASSERT_TRUE(retry.ok()) << retry.status();
+  EXPECT_EQ(retry->GetInt("code", 0), 404);
+  EXPECT_EQ(h.service.dedup_hits(), 1);
+}
+
 TEST(ServerTest, MalformedRequestsGetPreciseErrors) {
   ServerHarness h(WindowedConfig());
   auto conn = h.Connect();

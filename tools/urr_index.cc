@@ -1,9 +1,10 @@
 // urr_index: build, inspect and verify .urrx routing-index snapshots (CSR
-// road network + contraction hierarchy + hub labels with per-section
-// checksums). A snapshot built once lets every later run (urr_engine
-// --index, ExperimentConfig::index_snapshot) cold-start in milliseconds
-// instead of re-contracting the network; the loaded index answers bitwise
-// the same distances as a fresh build.
+// road network + hub labels with per-section checksums; the contraction
+// hierarchy the labels come from is built and dropped). A snapshot built
+// once lets every later run (urr_engine --index,
+// ExperimentConfig::index_snapshot) cold-start in milliseconds instead of
+// re-contracting the network; the loaded index answers bitwise the same
+// distances as a fresh build.
 //
 // Examples:
 //   urr_index build --city nyc --nodes 4000 --seed 42 --threads 8
@@ -55,7 +56,8 @@ usage: urr_index build|info|verify|bench [FILE] [flags]
 modes:
   build   generate a network, run CH contraction + hub-label extraction
           (parallel with --threads; bit-identical at any count) and save
-  info    print a snapshot's sections, sizes and index statistics
+  info    load a snapshot and print its version, checksum, load time,
+          graph size and hub-label statistics
   verify  full load-path validation (header, geometry, checksums, structural
           invariants); --probe N additionally checks N random hub-label
           distances against Dijkstra on the snapshot's network
@@ -177,8 +179,6 @@ Status RunInfo(const Options& opt) {
               snapshot.network.num_nodes(),
               static_cast<long long>(snapshot.network.num_edges()),
               snapshot.network.has_coords() ? "yes" : "no");
-  std::printf("  ch:    %lld upward edges\n",
-              static_cast<long long>(snapshot.ch.num_upward_edges()));
   std::printf("  hl:    %lld entries, avg label size %.2f\n",
               static_cast<long long>(snapshot.hub_labels.num_entries()),
               snapshot.hub_labels.average_label_size());
